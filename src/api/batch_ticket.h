@@ -9,7 +9,7 @@
 // fires on the submission worker thread after the ticket is fulfilled, for
 // callers that prefer push over pull.
 //
-// Admission semantics live HERE, once, for all three services: the first
+// Admission semantics live HERE, once, for every deployment: the first
 // request's RequestContext is the batch's queue envelope. A batch with no
 // QoS envelope keeps the original blocking-backpressure submission; a batch
 // with one never blocks — if admission sheds it (deadline expired at submit
@@ -43,8 +43,6 @@
 #include "core/thread_annotations.h"
 
 namespace kspdg {
-
-class RoutingServiceInterface;
 
 /// Completion callback for SubmitBatch: receives the batch outcome on the
 /// submission worker thread, after the ticket is fulfilled (so Wait()
@@ -140,18 +138,6 @@ class BatchTicket {
     }
     return ticket;
   }
-
-  /// Interface-typed convenience: enqueues `service.QueryBatch(requests)`.
-  /// This is the one SubmitBatch body every implementation shares — the
-  /// service passes its own queue, itself, and its admission counter
-  /// handles. Defined out of line (in routing_service_interface.cc) because
-  /// the interface is incomplete here. `service` must outlive the queue it
-  /// hands in, which every implementation guarantees by owning the queue as
-  /// its last member.
-  [[nodiscard]] static BatchTicket SubmitTo(
-      SubmissionQueue& queue, const RoutingServiceInterface& service,
-      std::vector<RouteRequest> requests, BatchCallback callback,
-      const AdmissionMetricsView& metrics = {});
 
   /// False only for default-constructed (placeholder) tickets; SubmitBatch
   /// always returns a valid ticket, even when the submission was refused.

@@ -96,7 +96,7 @@ class KspSolver {
 };
 
 /// Lazily populated solver scratch, one slot per backend — the per-worker
-/// arena both service front-ends keep warm across batches (see SolverScratch
+/// arena the serving core keeps warm across batches (see SolverScratch
 /// for the reuse contract). A handful of backends at most: linear scan beats
 /// hashing. Not thread-safe; each pool worker owns one arena.
 struct SolverScratchArena {

@@ -1,296 +1,28 @@
 #include "api/routing_service.h"
 
-#include <algorithm>
-#include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
-#include "core/strings.h"
-#include "core/timer.h"
+#include "core/epoch_lock.h"
 
 namespace kspdg {
 
 Result<std::unique_ptr<RoutingService>> RoutingService::Create(
     Graph graph, RoutingServiceOptions options) {
-  KSPDG_RETURN_NOT_OK(options.defaults.Validate());
-  // The service must be heap-allocated before the DTLP is built: the index
-  // keeps a pointer to the service-owned graph.
   std::unique_ptr<RoutingService> service(
       new RoutingService(std::move(graph), std::move(options)));
-  Result<std::unique_ptr<Dtlp>> dtlp =
-      Dtlp::Build(service->graph_, service->options_.dtlp);
-  if (!dtlp.ok()) return dtlp.status();
-  service->dtlp_ = std::move(dtlp).value();
-  if (service->options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(service->graph_, service->options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    service->cands_ = std::move(cands).value();
-  }
-  service->registry_ = SolverRegistry::Default();
-  service->pool_ = std::make_unique<ThreadPool>(
-      DefaultBatchThreads(service->options_.batch_threads));
-  service->arenas_.resize(service->pool_->num_threads());
-
-  // Wire instrumentation before any traffic: every hot-path handle is
-  // resolved here, so serving pays one relaxed fetch_add per event and
-  // never touches the registry mutex.
-  service->svc_metrics_.Init(service->metrics_, service->registry_.Names());
-  service->mu_.InstrumentWriter(
-      service->metrics_.GetCounter("epoch_writer_drains_total"),
-      service->metrics_.GetHistogram("epoch_writer_wait_micros", {},
-                                     LatencyBucketsMicros()));
-  service->metrics_.AddGaugeCallback(
-      "epoch", {}, [svc = service.get()] {
-        return static_cast<int64_t>(
-            svc->epoch_.load(std::memory_order_relaxed));
-      });
-
-  SubmissionQueueMetrics queue_metrics;
-  queue_metrics.enqueue_blocked_total =
-      service->metrics_.GetCounter("submission_queue_enqueue_blocked_total");
-  queue_metrics.enqueue_block_micros = service->metrics_.GetHistogram(
-      "submission_queue_enqueue_block_micros", {}, LatencyBucketsMicros());
-  queue_metrics.shed_deadline_total =
-      service->metrics_.GetCounter("submission_queue_shed_deadline_total");
-  queue_metrics.shed_quota_total =
-      service->metrics_.GetCounter("submission_queue_shed_quota_total");
-  AdmissionOptions admission;
-  admission.per_tenant_quota = service->options_.per_tenant_quota;
-  service->submit_queue_ = std::make_unique<SubmissionQueue>(
-      service->options_.submit_queue_capacity, /*num_workers=*/1,
-      std::move(queue_metrics), admission);
-  service->metrics_.AddGaugeCallback(
-      "submission_queue_depth", {}, [queue = service->submit_queue_.get()] {
-        return static_cast<int64_t>(queue->pending());
-      });
-  for (RequestPriority priority :
-       {RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kBatch}) {
-    service->metrics_.AddGaugeCallback(
-        "submission_queue_depth_by_priority",
-        {{"priority", PriorityName(priority)}},
-        [queue = service->submit_queue_.get(), priority] {
-          return static_cast<int64_t>(queue->pending(priority));
-        });
-  }
-  service->metrics_.AddCounterCallback(
-      "submission_queue_submitted_total", {},
-      [queue = service->submit_queue_.get()] { return queue->submitted(); });
-  service->metrics_.AddCounterCallback(
-      "submission_queue_completed_total", {},
-      [queue = service->submit_queue_.get()] { return queue->completed(); });
+  KSPDG_RETURN_NOT_OK(service->BuildIndexes());
+  service->StartServing(/*num_shards=*/0);
   return service;
 }
 
-Status RoutingService::RegisterSolver(std::unique_ptr<KspSolver> solver) {
-  if (serving_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "RegisterSolver must run before the first query is served");
-  }
-  const std::string name(solver->name());
-  KSPDG_RETURN_NOT_OK(registry_.Register(std::move(solver)));
-  // Pre-register the backend's queries_total{kind,backend} cells so the
-  // query hot path stays registration-free.
-  svc_metrics_.AddBackend(metrics_, name);
-  return Status::OK();
-}
-
-Status RoutingService::PrepareQuery(const RouteRequest& request,
-                                    PreparedRoute* prepared) const {
-  return PrepareRoutingQuery(registry_, options_.defaults, graph_, request,
-                             prepared);
-}
-
-Result<RouteResponse> RoutingService::Query(const RouteRequest& request) const {
-  MarkServing();
-  PreparedRoute prepared;
-  Status status = PrepareQuery(request, &prepared);
-  if (!status.ok()) {
-    svc_metrics_.RecordQueryFailure(status);
-    return status;
-  }
-
-  SolverInput input;
-  input.graph = &graph_;
-  input.dtlp = dtlp_.get();
-  input.cands = cands_.get();
-  input.source = request.source;
-  input.target = request.target;
-  input.options = std::move(prepared.merged);
-
-  // Snapshot section: weights and DTLP are frozen until the lock drops, so
-  // the whole solve (including the kDiverseKsp filter, which is a pure
-  // function of the candidate list) sees one consistent epoch.
-  EpochReaderLock lock(mu_);
-  WallTimer timer;
-  Result<KspQueryResult> solved = prepared.solver->Solve(input);
-  if (!solved.ok()) {
-    svc_metrics_.RecordQueryFailure(solved.status());
-    return solved.status();
-  }
-  RouteResponse response =
-      FinishRouteResponse(prepared.kind, prepared.requested_k,
-                          std::move(input.options), graph_.directed(),
-                          std::move(solved).value());
-  response.stats.solve_micros = timer.ElapsedMicros();
-  response.epoch = epoch_.load(std::memory_order_relaxed);
-  svc_metrics_.RecordQuery(prepared.kind, response.backend,
-                           response.stats.solve_micros);
-  return response;
-}
-
-Result<RouteBatchResponse> RoutingService::QueryBatch(
-    std::span<const RouteRequest> requests) const {
-  MarkServing();
-  RouteBatchResponse batch;
-  batch.items.resize(requests.size());
-
-  // Phase 1 (outside the lock): validate every request and resolve its
-  // backend. Failures become per-item statuses, never a batch failure.
-  struct Prepared {
-    size_t index = 0;
-    PreparedRoute route;
-  };
-  std::vector<Prepared> work;
-  work.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Prepared prepared;
-    prepared.index = i;
-    Status status = PrepareQuery(requests[i], &prepared.route);
-    if (!status.ok()) {
-      batch.items[i].status = std::move(status);
-      continue;
-    }
-    work.push_back(std::move(prepared));
-  }
-
-  // Phase 2: group by backend so the contiguous chunks a worker claims
-  // mostly share a solver and its scratch stays warm across them.
-  std::stable_sort(work.begin(), work.end(),
-                   [](const Prepared& a, const Prepared& b) {
-                     return a.route.solver->name() < b.route.solver->name();
-                   });
-
-  // Phase 3 (snapshot section): ONE reader-lock acquisition covers every
-  // solve, so the whole batch is answered at a single epoch. Each work item
-  // writes only its own response slot; no synchronisation needed. batch_mu_
-  // keeps the persistent arenas single-batch-at-a-time, and is taken BEFORE
-  // the reader lock so queued batches wait outside the snapshot section — a
-  // waiting traffic writer then drains at most one in-flight batch, not the
-  // whole queue.
-  MutexLock batch_guard(batch_mu_);
-  EpochReaderLock lock(mu_);
-  WallTimer timer;
-  const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-  batch.epoch = epoch;
-  if (arena_epoch_ != epoch) {
-    // Weights moved since the arenas were last warm: weight-derived caches
-    // (KSP-DG partials) must not survive into this snapshot.
-    for (SolverScratchArena& arena : arenas_) arena.OnSnapshotChange();
-    arena_epoch_ = epoch;
-  }
-  // The pool threads do not hold batch_mu_ — they are handed disjoint
-  // arena slots while this thread keeps the whole batch section locked,
-  // which the analysis cannot see through the lambda. The raw pointer is
-  // the deliberate escape hatch.
-  SolverScratchArena* const pool_arenas = arenas_.data();
-  // Chunks large enough to amortise claiming, small enough to balance the
-  // (highly skewed) per-query solve costs across workers.
-  size_t chunk =
-      std::max<size_t>(1, work.size() / (4 * size_t{pool_->num_threads()}));
-  pool_->ParallelFor(
-      work.size(), chunk, [&](unsigned worker, size_t j) {
-        Prepared& p = work[j];
-        SolverInput input;
-        input.graph = &graph_;
-        input.dtlp = dtlp_.get();
-        input.cands = cands_.get();
-        input.source = requests[p.index].source;
-        input.target = requests[p.index].target;
-        // Each item runs exactly once, so its merged options move through
-        // the input and into the response.
-        input.options = std::move(p.route.merged);
-        RouteBatchItem& item = batch.items[p.index];
-        WallTimer solve_timer;
-        Result<KspQueryResult> solved = p.route.solver->Solve(
-            input, pool_arenas[worker].Get(p.route.solver));
-        if (!solved.ok()) {
-          item.status = solved.status();
-          return;
-        }
-        item.response = FinishRouteResponse(
-            p.route.kind, p.route.requested_k, std::move(input.options),
-            graph_.directed(), std::move(solved).value());
-        item.response.stats.solve_micros = solve_timer.ElapsedMicros();
-        item.response.epoch = epoch;
-        svc_metrics_.RecordQuery(p.route.kind, item.response.backend,
-                                 item.response.stats.solve_micros);
-      });
-  lock.Unlock();
-  batch.batch_micros = timer.ElapsedMicros();
-
-  // Accepted items were recorded per solve (kind/backend/latency); the
-  // admission classification and the rejection/shed totals settle here.
-  svc_metrics_.FinalizeBatchAdmission(batch);
-  return batch;
-}
-
-BatchTicket RoutingService::SubmitBatch(std::vector<RouteRequest> requests,
-                                        BatchCallback callback) const {
-  MarkServing();
-  return BatchTicket::SubmitTo(*submit_queue_, *this, std::move(requests),
-                               std::move(callback),
-                               svc_metrics_.admission_view());
-}
-
-Result<TrafficBatchResult> RoutingService::ApplyTrafficBatch(
+TrafficBatchResult RoutingService::ApplyBatch(
     std::span<const WeightUpdate> updates) {
-  // Validate before taking the writer lock: a rejected batch must leave the
-  // snapshot untouched (and NumEdges is immutable, so no lock is needed).
-  for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph_.NumEdges()) {
-      return Status::InvalidArgument(
-          "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph_.NumEdges()) +
-          " edges)");
-    }
-    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-      return Status::InvalidArgument("updated weights must be positive");
-    }
-  }
-  EpochWriterLock lock(mu_);
-  for (const WeightUpdate& update : updates) graph_.SetWeight(update);
-  TrafficBatchResult result;
-  result.dtlp = dtlp_->ApplyUpdates(updates);
-  if (cands_ != nullptr) {
-    // CANDS maintenance: every touched subgraph's exact boundary-pair
-    // shortest paths are recomputed — deliberately inside the exclusive
-    // window so the bench measures the paper's rebuild-vs-incremental
-    // contrast on the same serving path.
-    WallTimer cands_timer;
-    result.cands = cands_->ApplyUpdates(updates);
-    result.cands_micros = cands_timer.ElapsedMicros();
-  }
-  result.epoch = epoch_.load(std::memory_order_relaxed) + 1;
-  epoch_.store(result.epoch, std::memory_order_relaxed);
-  svc_metrics_.RecordTrafficBatch(updates.size());
+  EpochWriterLock lock(epochs_->global_lock());
+  const uint64_t epoch = epochs_->BeginAdvance();
+  TrafficBatchResult result = ApplyToMaster(updates);
+  epochs_->Commit(epoch);
+  result.epoch = epoch;
   return result;
-}
-
-uint64_t RoutingService::CurrentEpoch() const {
-  EpochReaderLock lock(mu_);
-  return epoch_.load(std::memory_order_relaxed);
-}
-
-ServiceCounters RoutingService::counters() const {
-  ServiceCounters counters;
-  counters.queries_ok = svc_metrics_.queries_ok.value();
-  counters.queries_rejected = svc_metrics_.queries_rejected.value();
-  counters.batches_applied = svc_metrics_.traffic_batches.value();
-  counters.updates_applied = svc_metrics_.weight_updates.value();
-  return counters;
 }
 
 }  // namespace kspdg

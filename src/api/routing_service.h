@@ -1,83 +1,38 @@
-// RoutingService: the single public facade over the KSP machinery.
+// RoutingService: the single-node deployment of the serving core.
 //
 // One instance owns the dynamic graph, the DTLP index built over it, and the
 // registry of solver backends, and serves the paper's workload (§1, §5):
-// KSP queries streaming in *while* traffic updates stream in. Concurrency is
-// epoch-based snapshotting on a reader/writer lock:
+// KSP queries streaming in *while* traffic updates stream in. Everything
+// but the apply path is the ServingCore (api/serving_core.h); this
+// deployment computes KSP-DG partials inline on the solving thread, and
+// applies a traffic batch as one step under the exclusive snapshot lock:
 //
-//   Query(request)            shared lock   — any number run concurrently
-//   QueryBatch(requests)      shared lock   — one acquisition for the whole
-//                                             batch, answered in parallel on
-//                                             the service-owned thread pool
-//   ApplyTrafficBatch(batch)  unique lock   — drains readers, applies
-//                                             Algorithm 2, bumps the epoch
+//   Query / QueryBatch / SubmitBatch   shared lock — any number run
+//                                      concurrently; a batch takes it once
+//   ApplyTrafficBatch                  exclusive lock — drains readers,
+//                                      applies Algorithm 2, bumps the epoch
 //
 // Every response carries the epoch it was answered at, so clients can detect
 // staleness and tests can assert that no query ever observed a half-applied
-// batch. This turns the old "safe to share across query threads as long as
-// no update is applied concurrently" comment on the engine into an enforced
-// invariant.
+// batch.
 #ifndef KSPDG_API_ROUTING_SERVICE_H_
 #define KSPDG_API_ROUTING_SERVICE_H_
 
-#include <atomic>
 #include <memory>
 #include <span>
-#include <vector>
+#include <utility>
 
-#include "api/batch_ticket.h"
-#include "api/ksp_solver.h"
-#include "api/routing_options.h"
 #include "api/routing_service_interface.h"
+#include "api/serving_core.h"
 #include "api/service_metrics.h"
-#include "cands/cands.h"
-#include "core/epoch_lock.h"
-#include "core/mutex.h"
 #include "core/status.h"
-#include "core/submission_queue.h"
-#include "core/thread_annotations.h"
-#include "core/thread_pool.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
-#include "obs/metrics.h"
 
 namespace kspdg {
 
-struct RoutingServiceOptions {
-  /// Service-wide defaults; any field can be overridden per request.
-  RoutingOptions defaults;
-  /// DTLP construction knobs (partition size z, level-1 ξ, build threads).
-  DtlpOptions dtlp;
-  /// Build and maintain the CANDS baseline index (exact boundary-pair
-  /// shortest paths per subgraph) so the kShortestPath kind's "cands"
-  /// backend is servable. Its rebuild-on-update maintenance runs inside
-  /// every ApplyTrafficBatch — the paper's Figures 40-41 cost contrast —
-  /// and is reported in TrafficBatchResult. Disable to skip both costs.
-  bool enable_cands = true;
-  /// Threads answering one QueryBatch (0 = one per hardware thread, capped
-  /// at 16; 1 = batches execute inline on the caller). The pool is owned by
-  /// the service and shared by all batches.
-  unsigned batch_threads = 0;
-  /// Batches the async SubmitBatch queue buffers before admission engages:
-  /// no-envelope submits block (backpressure), QoS submits shed or displace
-  /// queued batch-class work (0 is treated as 1).
-  size_t submit_queue_capacity = 8;
-  /// Max pending SubmitBatch envelopes one tenant_id may hold at once;
-  /// over-quota QoS submits are shed with kResourceExhausted instead of
-  /// blocking (0 = unlimited, tenants with an empty id are unmetered).
-  size_t per_tenant_quota = 0;
-};
+struct RoutingServiceOptions : ServingOptions {};
 
-/// Running totals for monitoring — a *view* computed from the service's
-/// metrics registry (snapshot, not transactional).
-struct ServiceCounters {
-  uint64_t queries_ok = 0;
-  uint64_t queries_rejected = 0;
-  uint64_t batches_applied = 0;
-  uint64_t updates_applied = 0;
-};
-
-class RoutingService : public RoutingServiceInterface {
+class RoutingService : public ServingCore {
  public:
   /// Takes ownership of `graph`, partitions it and builds the DTLP
   /// (Algorithm 1), and loads the default backends. Fails if the service
@@ -85,139 +40,15 @@ class RoutingService : public RoutingServiceInterface {
   static Result<std::unique_ptr<RoutingService>> Create(
       Graph graph, RoutingServiceOptions options = {});
 
-  RoutingService(const RoutingService&) = delete;
-  RoutingService& operator=(const RoutingService&) = delete;
-
-  /// Answers q(source, target) — any QueryKind — on the current weight
-  /// snapshot with the backend named by the merged options. Thread-safe;
-  /// runs concurrently with other queries and serialises against
-  /// ApplyTrafficBatch.
-  Result<RouteResponse> Query(const RouteRequest& request) const override;
-
-  /// Answers a whole batch of queries on ONE weight snapshot: requests are
-  /// validated up front, the reader lock is acquired once, and the valid
-  /// requests are grouped by backend and executed on the service's thread
-  /// pool. Each worker draws solver scratch (pooled candidate heaps /
-  /// partial caches) from a persistent per-worker arena that stays warm
-  /// across batches until a traffic batch moves the epoch. Invalid requests
-  /// receive per-item statuses without failing the batch. Thread-safe;
-  /// concurrent batches and single queries run under the same reader lock
-  /// and serialise against ApplyTrafficBatch.
-  Result<RouteBatchResponse> QueryBatch(
-      std::span<const RouteRequest> requests) const override;
-
-  /// Asynchronous QueryBatch: enqueues the batch on the service's bounded
-  /// submission queue and returns a ticket immediately, so the caller can
-  /// produce the next batch while this one solves. Blocks only when the
-  /// queue is full (backpressure). The optional callback fires on the
-  /// submission worker thread once the ticket is fulfilled. Thread-safe;
-  /// batches execute in submission order and every accepted batch completes
-  /// before the service finishes destruction.
-  [[nodiscard]] BatchTicket SubmitBatch(std::vector<RouteRequest> requests,
-                          BatchCallback callback = nullptr) const override;
-
-  /// Applies one batch of weight updates atomically: the graph's current
-  /// weights and the DTLP (Algorithm 2) move to the next epoch together,
-  /// with all concurrent queries drained. The batch is validated up front
-  /// and rejected as a whole on any bad entry. Thread-safe.
-  Result<TrafficBatchResult> ApplyTrafficBatch(
-      std::span<const WeightUpdate> updates) override;
-
-  /// Adds a custom backend. Must be called before serving traffic — the
-  /// registry reads on the query path take no lock, so registration was
-  /// never safe against in-flight queries. Once the first
-  /// Query/QueryBatch/SubmitBatch has been accepted the registry is frozen
-  /// and registration fails with kFailedPrecondition. (Best-effort
-  /// enforcement of that lifecycle: it rejects any registration that
-  /// happens-after an observed query; truly concurrent first-query vs
-  /// registration remains the caller's setup bug to avoid.)
-  Status RegisterSolver(std::unique_ptr<KspSolver> solver);
-
-  /// Epoch of the current weight snapshot (0 until the first batch).
-  uint64_t CurrentEpoch() const override;
-
-  /// Registered backend names, sorted.
-  std::vector<std::string> BackendNames() const override {
-    return registry_.Names();
-  }
-
-  /// Consistent scrape of the service's metrics registry: query totals by
-  /// kind/backend, solve-latency histograms, queue depth, epoch-drain
-  /// telemetry. Never blocks queries or updates.
-  MetricsSnapshot Metrics() const override { return metrics_.Snapshot(); }
-
-  ServiceCounters counters() const;
-
-  /// Read-only views for tooling; do not mutate through aliases while the
-  /// service is live, all writes must go through ApplyTrafficBatch.
-  const Graph& graph() const { return graph_; }
-  const Dtlp& dtlp() const { return *dtlp_; }
-  /// nullptr when created with enable_cands = false.
-  const CandsIndex* cands() const { return cands_.get(); }
-  const RoutingOptions& defaults() const { return options_.defaults; }
+  ServiceCounters counters() const { return BaseCounters(); }
 
  private:
   RoutingService(Graph graph, RoutingServiceOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+      : ServingCore(std::move(graph), std::move(options)) {}
 
-  /// Delegates to PrepareRoutingQuery (shared with ShardedRoutingService).
-  /// Fills `prepared` on success. Does not touch counters; callers account
-  /// rejections themselves.
-  Status PrepareQuery(const RouteRequest& request,
-                      PreparedRoute* prepared) const;
-
-  /// Marks the registry frozen. Only the first accepted query writes the
-  /// flag, so the hot path stays read-only afterwards.
-  void MarkServing() const {
-    if (!serving_.load(std::memory_order_relaxed)) {
-      serving_.store(true, std::memory_order_release);
-    }
-  }
-
-  Graph graph_;
-  RoutingServiceOptions options_;
-  /// Owns every metric cell the members below hold handles into. Declared
-  /// before them so it is destroyed LAST — in particular after
-  /// submit_queue_, whose destructor still drains batches that bump
-  /// counters.
-  MetricsRegistry metrics_;
-  std::unique_ptr<Dtlp> dtlp_;
-  /// The CANDS baseline index behind the "cands" backend; rebuilt-on-update
-  /// inside ApplyTrafficBatch. Null when enable_cands is false.
-  std::unique_ptr<CandsIndex> cands_;
-  SolverRegistry registry_;
-  /// Set by the first served query; freezes the registry (see
-  /// RegisterSolver).
-  mutable std::atomic<bool> serving_{false};
-  /// Executes QueryBatch work items; owned so batches reuse warm threads
-  /// instead of paying thread creation per call.
-  std::unique_ptr<ThreadPool> pool_;
-  /// Per-worker scratch arenas, persistent across batches so caches stay
-  /// warm while the epoch holds still. Guarded by batch_mu_, which also
-  /// serialises the parallel section of concurrent QueryBatch calls (the
-  /// pool would serialise them anyway).
-  mutable Mutex batch_mu_{"RoutingService::batch_mu_"};
-  mutable std::vector<SolverScratchArena> arenas_ GUARDED_BY(batch_mu_);
-  /// Epoch the arenas were last used at; a mismatch triggers
-  /// SolverScratch::OnSnapshotChange() before the batch runs.
-  mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
-
-  /// Guards graph_ weights, the DTLP, and epoch_ (readers shared, updates
-  /// exclusive; write-preferring so traffic batches cannot starve).
-  mutable EpochLock mu_{"RoutingService::mu_"};
-  /// Written under the exclusive lock, read under the shared lock; atomic
-  /// so the registry's epoch gauge callback can sample it during a scrape
-  /// without joining the lock protocol.
-  std::atomic<uint64_t> epoch_{0};
-
-  /// Query/update handles into metrics_ (shared bundle; ServiceCounters is
-  /// a view over these).
-  ServiceMetrics svc_metrics_;
-
-  /// Async SubmitBatch queue. Declared last so it is destroyed FIRST:
-  /// destruction drains the accepted batches, which still run QueryBatch
-  /// against the members above.
-  std::unique_ptr<SubmissionQueue> submit_queue_;
+  /// Flat weights, Algorithm 2 and CANDS under the exclusive lock.
+  TrafficBatchResult ApplyBatch(
+      std::span<const WeightUpdate> updates) override;
 };
 
 }  // namespace kspdg

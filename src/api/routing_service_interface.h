@@ -1,14 +1,12 @@
 // RoutingServiceInterface: the one serving contract every implementation
 // answers to.
 //
-// Three services serve the same workload from different topologies — the
-// in-process RoutingService, the N-shard ShardedRoutingService, and the
-// out-of-process RemoteShardedRoutingService. Their public surfaces were
-// grown to be call-compatible; this interface makes that an enforced
-// contract instead of a convention, so harnesses that only care about the
-// contract (the bench runner, the parity tests, the async ticket plumbing)
-// are written once against the abstract type and run unchanged over any
-// implementation or any pair of them.
+// The serving core (api/serving_core.h) implements it once; the
+// single-node RoutingService, the N-shard ShardedRoutingService and the
+// out-of-process RemoteShardedRoutingService are deployments of that core.
+// Harnesses that only care about the contract (the bench runner, the
+// parity tests, the async ticket plumbing) are written once against the
+// abstract type and run unchanged over any deployment or any pair of them.
 //
 // The contract is the serving surface plus observability:
 //
@@ -87,8 +85,8 @@ class RoutingServiceInterface {
   /// blocks: under pressure it is shed instead (ticket fulfilled with an
   /// OK response whose items carry kDeadlineExceeded / kResourceExhausted
   /// statuses and AdmissionOutcomes — shedding never fails the batch).
-  /// Identical on every implementation by construction: all three route
-  /// through BatchTicket::SubmitTo.
+  /// Identical on every deployment by construction: the serving core
+  /// routes it through BatchTicket::SubmitTo.
   [[nodiscard]] virtual BatchTicket SubmitBatch(
       std::vector<RouteRequest> requests,
       BatchCallback callback = nullptr) const = 0;

@@ -1,16 +1,17 @@
-// ServiceMetrics: the instrumentation bundle every serving front-end owns.
+// ServiceMetrics: the query-path instrumentation of the serving core.
 //
-// All three RoutingServiceInterface implementations record the same
-// query-path events — accepted/rejected totals, queries_total{kind,backend},
-// per-kind solve-latency histograms, traffic-batch totals. This bundle
-// pre-registers every handle at service construction (registration takes
-// the registry mutex; the registry is frozen against new backends once the
-// first query is served), so the hot path is pure handle increments: no
-// lock, no string building, one relaxed fetch_add per counter touched.
+// The serving core (api/serving_core.h) records every query-path event
+// here — accepted/rejected totals, queries_total{kind,backend}, per-kind
+// solve-latency histograms, traffic-batch totals — so every deployment
+// exports the same series. The bundle pre-registers every handle at
+// service construction (registration takes the registry mutex; the
+// registry is frozen against new backends once the first query is served),
+// so the hot path is pure handle increments: no lock, no string building,
+// one relaxed fetch_add per counter touched.
 //
-// The legacy ServiceCounters / ShardedServiceCounters structs are now
-// *views* computed from these handles — the registry is the single source
-// of truth.
+// The legacy ServiceCounters / ShardedServiceCounters structs are *views*
+// computed from these handles — the registry is the single source of
+// truth.
 #ifndef KSPDG_API_SERVICE_METRICS_H_
 #define KSPDG_API_SERVICE_METRICS_H_
 
@@ -52,6 +53,15 @@ struct AdmissionMetricsView {
   Counter rejected;
 };
 
+/// Running totals for monitoring — a *view* computed from a service's
+/// metrics registry (snapshot, not transactional).
+struct ServiceCounters {
+  uint64_t queries_ok = 0;
+  uint64_t queries_rejected = 0;
+  uint64_t batches_applied = 0;
+  uint64_t updates_applied = 0;
+};
+
 struct ServiceMetrics {
   /// Registers the service-wide handles plus a queries_total{kind,backend}
   /// counter matrix for every backend name. Call once at Create, before
@@ -77,11 +87,10 @@ struct ServiceMetrics {
   /// kResourceExhausted), so shed work is visible as shed, not just failed.
   void RecordQueryFailure(const Status& status) const;
 
-  /// The one post-solve accounting step all three QueryBatch
-  /// implementations share: classifies every item (RouteBatchItem::
-  /// admission), tallies num_ok / num_rejected / num_shed, and settles the
-  /// admission + rejection counters. Served items were already recorded per
-  /// solve via RecordQuery.
+  /// The post-solve accounting step of QueryBatch: classifies every item
+  /// (RouteBatchItem::admission), tallies num_ok / num_rejected /
+  /// num_shed, and settles the admission + rejection counters. Served
+  /// items were already recorded per solve via RecordQuery.
   void FinalizeBatchAdmission(RouteBatchResponse& batch) const;
 
   /// Queue-level view for BatchTicket::SubmitTo.
@@ -91,6 +100,16 @@ struct ServiceMetrics {
     view.shed_quota = admission_shed_quota;
     view.rejected = queries_rejected;
     return view;
+  }
+
+  /// The ServiceCounters view over these handles.
+  ServiceCounters Counters() const {
+    ServiceCounters counters;
+    counters.queries_ok = queries_ok.value();
+    counters.queries_rejected = queries_rejected.value();
+    counters.batches_applied = traffic_batches.value();
+    counters.updates_applied = weight_updates.value();
+    return counters;
   }
 
   /// One applied traffic batch of `updates` weight updates.

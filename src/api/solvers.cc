@@ -66,7 +66,7 @@ Status PrepareRoutingQuery(const SolverRegistry& registry,
   // Admission: expired work is answered, never solved. This is the last of
   // the three deadline checks (submit, dequeue, solve) and the one that
   // covers the sync Query/QueryBatch paths and per-item deadlines inside an
-  // admitted batch — all three services share this seam.
+  // admitted batch — every deployment reaches it through the serving core.
   if (request.context.ExpiredAt(std::chrono::steady_clock::now())) {
     return Status::DeadlineExceeded("deadline expired before solve; shed");
   }

@@ -23,13 +23,23 @@
 namespace kspdg {
 
 /// Threads one QueryBatch may use when the caller passes 0: one per
-/// hardware thread, capped at 16. The single policy both service
-/// front-ends size their batch pools with.
+/// hardware thread, capped at 16. The policy the serving core sizes its
+/// batch pool with.
 inline unsigned DefaultBatchThreads(unsigned requested) {
   if (requested != 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
   return hw < 16u ? hw : 16u;
+}
+
+/// Threads one traffic-batch fan-out over `fanout` shards or workers may use
+/// when the caller passes 0: one per target, capped at the hardware thread
+/// count.
+inline unsigned ResolveApplyThreads(unsigned requested, size_t fanout) {
+  if (requested != 0) return requested;
+  unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = 1;
+  return static_cast<unsigned>(fanout < hw ? fanout : hw);
 }
 
 /// Persistent worker pool executing one parallel loop at a time (see file

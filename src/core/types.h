@@ -35,6 +35,11 @@ inline constexpr SubgraphId kInvalidSubgraph =
 inline constexpr Weight kInfiniteWeight =
     std::numeric_limits<Weight>::infinity();
 
+/// Packs an ordered vertex pair into one 64-bit hash key.
+inline uint64_t PairKey(VertexId a, VertexId b) {
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+
 /// Tolerance used when comparing path distances assembled in different orders.
 inline constexpr Weight kWeightEpsilon = 1e-7;
 

@@ -1,6 +1,8 @@
 #include "dtlp/dtlp.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_for.h"
 
@@ -57,31 +59,42 @@ void Dtlp::ApplyUpdatesToSubgraph(SubgraphId sgid,
   }
 }
 
+std::vector<SubgraphUpdates> GroupUpdatesBySubgraph(
+    const Partition& partition, std::span<const WeightUpdate> updates) {
+  // (subgraph, batch position) pairs sort by subgraph with batch order kept
+  // inside each subgraph.
+  std::vector<std::pair<SubgraphId, size_t>> owned;
+  owned.reserve(updates.size());
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const EdgeId edge = updates[i].edge;
+    if (edge >= partition.subgraph_of_edge.size()) continue;
+    const SubgraphId sgid = partition.subgraph_of_edge[edge];
+    if (sgid != kInvalidSubgraph) owned.emplace_back(sgid, i);
+  }
+  std::sort(owned.begin(), owned.end());
+  std::vector<SubgraphUpdates> groups;
+  for (const auto& [sgid, i] : owned) {
+    if (groups.empty() || groups.back().sgid != sgid) {
+      groups.push_back({sgid, {}});
+    }
+    groups.back().updates.push_back(updates[i]);
+  }
+  return groups;
+}
+
 DtlpUpdateStats Dtlp::ApplyUpdates(std::span<const WeightUpdate> updates) {
   DtlpUpdateStats stats;
-  std::vector<SubgraphId> dirty;
-  for (const WeightUpdate& upd : updates) {
-    if (upd.edge >= partition_->subgraph_of_edge.size()) continue;
-    SubgraphId sgid = partition_->subgraph_of_edge[upd.edge];
-    if (sgid == kInvalidSubgraph) continue;
-    Subgraph& sg = partition_->subgraphs[sgid];
-    EdgeId local = sg.LocalEdgeOf(upd.edge);
-    Weight old_fwd = sg.local().ForwardWeight(local);
-    Weight old_bwd = sg.local().BackwardWeight(local);
-    sg.ApplyUpdate(upd);
-    indexes_[sgid].OnWeightChange(local, old_fwd, old_bwd);
-    ++stats.updates_applied;
-    if (dirty.empty() || dirty.back() != sgid) dirty.push_back(sgid);
-  }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  for (SubgraphId sgid : dirty) {
-    if (indexes_[sgid].Refresh()) {
-      PushSubgraphBoundsToSkeleton(sgid);
-      stats.skeleton_pairs_refreshed += indexes_[sgid].pairs().size();
+  const std::vector<SubgraphUpdates> groups =
+      GroupUpdatesBySubgraph(*partition_, updates);
+  for (const SubgraphUpdates& group : groups) {
+    ApplyUpdatesToSubgraph(group.sgid, group.updates);
+    stats.updates_applied += group.updates.size();
+    if (RefreshSubgraph(group.sgid)) {
+      PushSubgraphBoundsToSkeleton(group.sgid);
+      stats.skeleton_pairs_refreshed += indexes_[group.sgid].pairs().size();
     }
   }
-  stats.subgraphs_touched = dirty.size();
+  stats.subgraphs_touched = groups.size();
   return stats;
 }
 

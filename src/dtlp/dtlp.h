@@ -28,6 +28,23 @@ struct DtlpOptions {
   unsigned build_threads = 1;
 };
 
+/// One subgraph's share of a traffic batch.
+struct SubgraphUpdates {
+  SubgraphId sgid = kInvalidSubgraph;
+  /// The batch's updates to edges `sgid` owns, in batch order — so repeated
+  /// updates to one edge resolve exactly as in the flat batch.
+  std::vector<WeightUpdate> updates;
+};
+
+/// Splits a traffic batch by owning subgraph: one group per touched
+/// subgraph, ascending by id. Every edge has at most one owner; updates of
+/// edges no subgraph owns (or out of range) are dropped. The one grouping
+/// every apply path uses — the single-node DTLP, the in-process shard
+/// fan-out, the fleet's expected-count cross-check and the shard worker —
+/// so they all apply the same slices in the same order.
+std::vector<SubgraphUpdates> GroupUpdatesBySubgraph(
+    const Partition& partition, std::span<const WeightUpdate> updates);
+
 struct DtlpUpdateStats {
   size_t updates_applied = 0;
   size_t subgraphs_touched = 0;
@@ -42,7 +59,8 @@ class Dtlp {
 
   /// Applies a batch of weight updates (Algorithm 2): updates the subgraph
   /// weight copies, maintains bounding-path distances through the EP-Index,
-  /// recomputes lower bounds of touched subgraphs, and refreshes Gλ.
+  /// recomputes lower bounds of touched subgraphs, and refreshes Gλ — the
+  /// per-subgraph steps below, composed over GroupUpdatesBySubgraph.
   DtlpUpdateStats ApplyUpdates(std::span<const WeightUpdate> updates);
 
   const Graph& graph() const { return *graph_; }

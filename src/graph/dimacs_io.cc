@@ -10,13 +10,6 @@
 
 namespace kspdg {
 
-namespace {
-// Packs an (u, v) ordered pair into one 64-bit key for the arc-merging map.
-uint64_t PairKey(VertexId u, VertexId v) {
-  return (static_cast<uint64_t>(u) << 32) | v;
-}
-}  // namespace
-
 Result<Graph> ReadDimacs(std::istream& in, bool directed) {
   std::string line;
   size_t num_vertices = 0;

@@ -1,8 +1,25 @@
 #include "graph/graph.h"
 
+#include <string>
 #include <vector>
 
 namespace kspdg {
+
+Status ValidateTrafficBatch(const Graph& graph,
+                            std::span<const WeightUpdate> updates) {
+  for (const WeightUpdate& update : updates) {
+    if (update.edge >= graph.NumEdges()) {
+      return Status::InvalidArgument(
+          "update references edge " + std::to_string(update.edge) +
+          " out of range (graph has " + std::to_string(graph.NumEdges()) +
+          " edges)");
+    }
+    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
+      return Status::InvalidArgument("updated weights must be positive");
+    }
+  }
+  return Status::OK();
+}
 
 size_t Graph::MemoryBytes() const {
   size_t bytes = sizeof(*this);

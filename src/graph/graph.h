@@ -183,6 +183,12 @@ class Graph {
   std::vector<Weight> weight_bwd_;
 };
 
+/// Checks a traffic batch against `graph` before any of it is applied: every
+/// edge must exist and every new weight must be positive. A batch failing
+/// here must be rejected as a whole.
+Status ValidateTrafficBatch(const Graph& graph,
+                            std::span<const WeightUpdate> updates);
+
 }  // namespace kspdg
 
 #endif  // KSPDG_GRAPH_GRAPH_H_

@@ -8,12 +8,6 @@
 
 namespace kspdg {
 
-namespace {
-uint64_t PairKey(VertexId a, VertexId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-}  // namespace
-
 QueryContext::QueryContext(const Dtlp& dtlp, PartialProvider* provider,
                            VertexId s, VertexId t,
                            const KspDgOptions& options,

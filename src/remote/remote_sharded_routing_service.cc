@@ -5,17 +5,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/timer.h"
+#include "core/epoch_lock.h"
 #include "kspdg/partial_provider.h"
 #include "rpc/wire.h"
 
@@ -24,18 +22,6 @@ extern char** environ;
 namespace kspdg {
 
 namespace {
-
-unsigned ResolveApplyThreads(unsigned requested, size_t num_workers) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<unsigned>(
-      std::min<size_t>(num_workers, static_cast<size_t>(hw)));
-}
-
-uint64_t PairKey(VertexId a, VertexId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 /// See RemoteWorkerOptions::worker_binary: explicit path, else the
 /// KSPDG_WORKER_BIN env override, else "shard_worker" next to the current
@@ -67,174 +53,43 @@ std::atomic<uint64_t> g_instance_counter{0};
 
 }  // namespace
 
-// The RPC twin of ShardedRoutingService::ShardPartialProvider: identical
-// grouping, caching, and merge semantics (see that class for the depth/
-// exhaustion reuse rules the parity guarantee rests on), but a fresh
-// computation becomes a PartialsRequest to a worker process of the shard's
-// replica set instead of an inline Yen run under the shard's lock. The
-// request carries the pinned epoch, so a worker that silently missed a
-// traffic batch rejects instead of contributing stale paths.
+// The fleet's fetch: a PartialsRequest to one worker of the shard's replica
+// set instead of an inline Yen run under the shard's lock. The request
+// carries the pinned epoch, so a worker that silently missed a traffic batch
+// rejects instead of contributing stale paths.
 //
 // Replica routing: each fetch starts at the shard's round-robin cursor and
 // walks the replica set, skipping replicas that are dead or have not
 // committed the pinned epoch; a transport failure marks that replica dead
 // and fails over to the next sibling. Every replica replays the same epoch
-// sequence, so whichever one answers, the bytes are identical. The caches
-// are therefore per shard, not per replica.
-//
-// Failure semantics: the first failed fetch (meaning: no replica of some
-// shard could serve it) poisons the query — the provider records the
-// status, answers this and every later request of the query with an empty
-// exhausted result (stopping the depth schedule cold), and the service
-// discards the solver's output in favour of the recorded error. An
-// all-replicas-dead shard therefore costs each affected query one fast
-// status, never a hang and never a silently wrong answer.
-class RemoteShardedRoutingService::RemotePartialProvider
-    : public PartialProvider {
+// sequence, so whichever one answers, the bytes are identical. Only a shard
+// with no replica able to serve fails the fetch — which poisons the query
+// (see ShardRoutedProvider): one fast status, never a hang and never a
+// silently wrong answer.
+class RemoteShardedRoutingService::RemotePartialProvider final
+    : public ShardRoutedProvider {
  public:
   explicit RemotePartialProvider(const RemoteShardedRoutingService& service)
-      : service_(service),
-        max_cached_pairs_(service.options_.defaults.partial_cache_pairs),
-        caches_(service.assignment_.num_shards),
-        shard_touched_(service.assignment_.num_shards, 0) {}
-
-  /// Binds the multi-shard read pin whose epoch stamps every request.
-  void BindPin(const EpochCoordinator::ReadPin* pin) { pin_ = pin; }
-
-  /// Resets the per-query state (touch tracking + error; caches persist).
-  void BeginQuery() {
-    std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
-    error_ = Status::OK();
-  }
-
-  /// First RPC/protocol failure of the current query (OK if none). The
-  /// caller must check this after Solve and discard the result on error.
-  const Status& error() const { return error_; }
-
-  size_t ShardsTouched() const {
-    size_t n = 0;
-    for (char touched : shard_touched_) n += touched != 0;
-    return n;
-  }
-
-  PartialResult ComputePartials(VertexId x, VertexId y,
-                                size_t depth) override {
-    PartialResult failed;
-    failed.exhausted = true;  // stop the depth schedule; the query is lost
-    if (!error_.ok()) return failed;
-    const Partition& partition = service_.dtlp_->partition();
-    std::vector<std::pair<ShardId, std::vector<SubgraphId>>> groups;
-    for (SubgraphId sgid : partition.SubgraphsContainingBoth(x, y)) {
-      ShardId shard = service_.assignment_.shard_of_subgraph[sgid];
-      auto it =
-          std::find_if(groups.begin(), groups.end(),
-                       [shard](const auto& g) { return g.first == shard; });
-      if (it == groups.end()) {
-        groups.push_back({shard, {sgid}});
-      } else {
-        it->second.push_back(sgid);
-      }
-    }
-    std::vector<SubgraphPartials> gathered;
-    size_t fresh_runs = 0;
-    const uint64_t key = PairKey(x, y);
-    for (const auto& [shard_id, owned] : groups) {
-      const ShardSlice& slice = *service_.slices_[shard_id];
-      shard_touched_[shard_id] = 1;
-      ShardCache& cache = caches_[shard_id];
-      // Flush against the shard's weights stamp (see ShardPartialProvider:
-      // a batch that never touched this shard leaves its cache warm). The
-      // stamp is replica-shared — every replica serves identical bytes.
-      const uint64_t weights_epoch =
-          slice.weights_epoch.load(std::memory_order_acquire);
-      if (cache.epoch != weights_epoch) {
-        if (!cache.entries.empty()) {
-          slice.cache_flushes.Increment();
-          cache.entries.clear();
-        }
-        cache.epoch = weights_epoch;
-      }
-      if (const CacheEntry* hit = cache.Find(key, depth)) {
-        slice.cache_hits.Increment();
-        gathered.insert(gathered.end(), hit->lists.begin(), hit->lists.end());
-        continue;
-      }
-      CacheEntry entry;
-      entry.depth = depth;
-      Status fetched = FetchFromShard(shard_id, owned, x, y, depth, &entry);
-      if (!fetched.ok()) {
-        error_ = std::move(fetched);
-        return failed;
-      }
-      fresh_runs += owned.size();
-      entry.exhausted = true;
-      for (const SubgraphPartials& list : entry.lists) {
-        if (list.paths.size() >= depth) entry.exhausted = false;
-      }
-      gathered.insert(gathered.end(), entry.lists.begin(), entry.lists.end());
-      if (max_cached_pairs_ != 0 &&
-          (cache.entries.size() < max_cached_pairs_ ||
-           cache.entries.count(key) != 0)) {
-        cache.entries[key].push_back(std::move(entry));
-      } else {
-        slice.cache_skips.Increment();
-      }
-    }
-    PartialResult result = MergeSubgraphPartials(std::move(gathered), depth);
-    result.yen_runs = fresh_runs;
-    if (groups.size() == 1) {
-      service_.direct_partials_.Increment();
-    } else if (groups.size() > 1) {
-      service_.scattered_partials_.Increment();
-    }
-    return result;
-  }
+      : ShardRoutedProvider(*service.routing_), service_(service) {}
 
  private:
-  struct CacheEntry {
-    size_t depth = 0;
-    bool exhausted = false;
-    std::vector<SubgraphPartials> lists;
-  };
-
-  struct ShardCache {
-    uint64_t epoch = 0;
-    std::unordered_map<uint64_t, std::vector<CacheEntry>> entries;
-
-    const CacheEntry* Find(uint64_t key, size_t depth) const {
-      auto it = entries.find(key);
-      if (it == entries.end()) return nullptr;
-      for (const CacheEntry& entry : it->second) {
-        if (entry.depth == depth ||
-            (entry.exhausted && entry.depth <= depth)) {
-          return &entry;
-        }
-      }
-      return nullptr;
-    }
-  };
-
-  /// Routes one fetch across the shard's replica set: round-robin start,
-  /// skip replicas that are dead or lagging the pinned epoch, fail over on
-  /// transport errors. Succeeds as long as ANY replica can serve.
-  Status FetchFromShard(ShardId shard_id,
-                        const std::vector<SubgraphId>& owned, VertexId x,
-                        VertexId y, size_t depth, CacheEntry* entry) {
-    const ShardSlice& slice = *service_.slices_[shard_id];
-    const uint32_t replicas = service_.options_.num_replicas;
-    const uint64_t pinned = pin_->epoch();
+  Status Fetch(ShardId shard, const std::vector<SubgraphId>& owned,
+               VertexId x, VertexId y, size_t depth,
+               std::vector<SubgraphPartials>* lists) override {
+    const uint32_t replicas = service_.num_replicas_;
+    const uint64_t pinned = pin().epoch();
     const uint64_t start =
-        slice.next_replica.fetch_add(1, std::memory_order_relaxed);
+        service_.next_replica_[shard].fetch_add(1, std::memory_order_relaxed);
     Status last_error;  // stays OK while every replica is merely skipped
     for (uint32_t i = 0; i < replicas; ++i) {
       const Worker& worker = service_.WorkerAt(
-          shard_id, static_cast<uint32_t>((start + i) % replicas));
+          shard, static_cast<uint32_t>((start + i) % replicas));
       if (!worker.alive.load(std::memory_order_acquire)) continue;
       // A lagging replica (missed one or more epochs) is out of the read
       // rotation until it catches up; the worker-side epoch check would
       // reject the request anyway, this just skips the round trip.
       if (worker.epoch.load(std::memory_order_acquire) != pinned) continue;
-      Status fetched = FetchFromWorker(worker, owned, x, y, depth, entry);
+      Status fetched = FetchFromWorker(worker, owned, x, y, depth, lists);
       if (fetched.ok()) {
         worker.partial_requests.Increment();
         worker.yen_runs.Increment(owned.size());
@@ -245,7 +100,7 @@ class RemoteShardedRoutingService::RemotePartialProvider
     }
     if (last_error.ok()) {
       return Status::Unavailable(
-          "all replicas of shard " + std::to_string(shard_id) +
+          "all replicas of shard " + std::to_string(shard) +
           " are dead or lagging; the shard is unavailable until restarted");
     }
     return last_error;
@@ -258,14 +113,15 @@ class RemoteShardedRoutingService::RemotePartialProvider
   /// is lagging: it stays alive for catch-up while its siblings serve.
   Status FetchFromWorker(const Worker& worker,
                          const std::vector<SubgraphId>& owned, VertexId x,
-                         VertexId y, size_t depth, CacheEntry* entry) {
+                         VertexId y, size_t depth,
+                         std::vector<SubgraphPartials>* lists) {
     if (!worker.alive.load(std::memory_order_acquire)) {
       return Status::Unavailable(
           "shard worker " + std::to_string(worker.shard) + " replica " +
           std::to_string(worker.replica) + " is dead");
     }
     PartialsRequest request;
-    request.epoch = pin_->epoch();
+    request.epoch = pin().epoch();
     request.x = x;
     request.y = y;
     request.depth = depth;
@@ -303,30 +159,16 @@ class RemoteShardedRoutingService::RemotePartialProvider
       }
       return called;
     }
-    entry->lists = std::move(reply.lists);
+    *lists = std::move(reply.lists);
     return Status::OK();
   }
 
   const RemoteShardedRoutingService& service_;
-  const size_t max_cached_pairs_;
-  const EpochCoordinator::ReadPin* pin_ = nullptr;
-  std::vector<ShardCache> caches_;
-  std::vector<char> shard_touched_;
-  Status error_;
 };
-
-RemoteShardedRoutingService::BatchWorker::BatchWorker() = default;
-RemoteShardedRoutingService::BatchWorker::BatchWorker(BatchWorker&&) noexcept =
-    default;
-RemoteShardedRoutingService::BatchWorker&
-RemoteShardedRoutingService::BatchWorker::operator=(BatchWorker&&) noexcept =
-    default;
-RemoteShardedRoutingService::BatchWorker::~BatchWorker() = default;
 
 Result<std::unique_ptr<RemoteShardedRoutingService>>
 RemoteShardedRoutingService::Create(Graph graph,
                                     RemoteShardedRoutingServiceOptions options) {
-  KSPDG_RETURN_NOT_OK(options.defaults.Validate());
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
@@ -334,10 +176,12 @@ RemoteShardedRoutingService::Create(Graph graph,
     return Status::InvalidArgument("num_replicas must be >= 1");
   }
   if (options.max_history_batches == 0) options.max_history_batches = 1;
-  // Heap-allocate before building the DTLP: the index keeps a pointer to
-  // the service-owned graph.
+  const uint32_t requested_shards = options.num_shards;
+  const unsigned apply_threads = options.apply_threads;
   std::unique_ptr<RemoteShardedRoutingService> service(
       new RemoteShardedRoutingService(std::move(graph), std::move(options)));
+  const RemoteWorkerOptions& remote = service->remote_;
+  KSPDG_RETURN_NOT_OK(service->BuildIndexes());
   // Replay source for worker (re)starts: a restarted worker must re-derive
   // the exact incrementally-maintained state of its peers, so it loads the
   // latest checkpoint and replays the retained history. Until the first
@@ -347,65 +191,32 @@ RemoteShardedRoutingService::Create(Graph graph,
   // same bytes as replaying from scratch.)
   service->checkpoint_graph_ = service->graph_;
   service->checkpoint_epoch_ = 0;
-  Result<std::unique_ptr<Dtlp>> dtlp =
-      Dtlp::Build(service->graph_, service->options_.dtlp);
-  if (!dtlp.ok()) return dtlp.status();
-  service->dtlp_ = std::move(dtlp).value();
-  if (service->options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(service->graph_, service->options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    service->cands_ = std::move(cands).value();
-  }
-  Result<ShardAssignment> assignment = AssignShards(
-      service->dtlp_->partition(), service->options_.num_shards);
+  Result<ShardAssignment> assignment =
+      AssignShards(service->dtlp_->partition(), requested_shards);
   if (!assignment.ok()) return assignment.status();
   service->assignment_ = std::move(assignment).value();
-  service->registry_ = SolverRegistry::Default();
-  service->epochs_ =
-      std::make_unique<EpochCoordinator>(service->assignment_.num_shards);
-  const size_t fleet_size = static_cast<size_t>(service->assignment_.num_shards) *
-                            service->options_.num_replicas;
+  const uint32_t num_shards = service->assignment_.num_shards;
+  const size_t fleet_size =
+      static_cast<size_t>(num_shards) * service->num_replicas_;
   service->apply_pool_ = std::make_unique<ThreadPool>(
-      ResolveApplyThreads(service->options_.apply_threads, fleet_size));
-  service->batch_pool_ = std::make_unique<ThreadPool>(
-      DefaultBatchThreads(service->options_.batch_threads));
+      ResolveApplyThreads(apply_threads, fleet_size));
 
-  service->worker_binary_ =
-      ResolveWorkerBinary(service->options_.remote.worker_binary);
+  service->worker_binary_ = ResolveWorkerBinary(remote.worker_binary);
   if (access(service->worker_binary_.c_str(), X_OK) != 0) {
     return Status::InvalidArgument(
         "shard_worker binary not executable at '" + service->worker_binary_ +
         "' (set RemoteWorkerOptions::worker_binary or KSPDG_WORKER_BIN)");
   }
-  const std::string socket_dir =
-      ResolveSocketDir(service->options_.remote.socket_dir);
+  const std::string socket_dir = ResolveSocketDir(remote.socket_dir);
   const uint64_t instance =
       g_instance_counter.fetch_add(1, std::memory_order_relaxed);
   RpcClientOptions client_options;
-  client_options.deadline_ms = service->options_.remote.rpc_deadline_ms;
-  client_options.max_retries = service->options_.remote.rpc_max_retries;
-  client_options.backoff_ms = service->options_.remote.rpc_backoff_ms;
-  for (ShardId shard = 0; shard < service->assignment_.num_shards; ++shard) {
-    // Replica-shared per-shard state: the cache telemetry keeps its
-    // {shard} label (the caches are per shard), and shard_epoch exports
-    // the coordinator's published per-shard epoch.
-    auto slice = std::make_unique<ShardSlice>();
-    const MetricLabels shard_labels = {{"shard", std::to_string(shard)}};
-    slice->cache_hits =
-        service->metrics_.GetCounter("partial_cache_hits_total", shard_labels);
-    slice->cache_skips =
-        service->metrics_.GetCounter("partial_cache_skips_total", shard_labels);
-    slice->cache_flushes = service->metrics_.GetCounter(
-        "partial_cache_flushes_total", shard_labels);
-    service->metrics_.AddGaugeCallback(
-        "shard_epoch", shard_labels,
-        [epochs = service->epochs_.get(), shard] {
-          return static_cast<int64_t>(epochs->shard(shard));
-        });
-    service->slices_.push_back(std::move(slice));
-    for (uint32_t replica = 0; replica < service->options_.num_replicas;
-         ++replica) {
+  client_options.deadline_ms = remote.rpc_deadline_ms;
+  client_options.max_retries = remote.rpc_max_retries;
+  client_options.backoff_ms = remote.rpc_backoff_ms;
+  MetricsRegistry& metrics = service->metrics_;
+  for (ShardId shard = 0; shard < num_shards; ++shard) {
+    for (uint32_t replica = 0; replica < service->num_replicas_; ++replica) {
       auto worker = std::make_unique<Worker>();
       worker->shard = shard;
       worker->replica = replica;
@@ -422,54 +233,44 @@ RemoteShardedRoutingService::Create(Graph graph,
       const MetricLabels labels = {{"shard", std::to_string(shard)},
                                    {"replica", std::to_string(replica)}};
       worker->partial_requests =
-          service->metrics_.GetCounter("partial_requests_total", labels);
-      worker->yen_runs =
-          service->metrics_.GetCounter("yen_runs_total", labels);
-      worker->reads =
-          service->metrics_.GetCounter("reads_by_replica_total", labels);
+          metrics.GetCounter("partial_requests_total", labels);
+      worker->yen_runs = metrics.GetCounter("yen_runs_total", labels);
+      worker->reads = metrics.GetCounter("reads_by_replica_total", labels);
       RpcClient* client = worker->client.get();
-      service->metrics_.AddCounterCallback(
-          "rpc_calls_total", labels, [client] { return client->calls(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_retries_total", labels, [client] { return client->retries(); });
-      service->metrics_.AddCounterCallback(
+      metrics.AddCounterCallback("rpc_calls_total", labels,
+                                 [client] { return client->calls(); });
+      metrics.AddCounterCallback("rpc_retries_total", labels,
+                                 [client] { return client->retries(); });
+      metrics.AddCounterCallback(
           "rpc_deadline_expired_total", labels,
           [client] { return client->deadline_expired(); });
-      service->metrics_.AddCounterCallback(
-          "rpc_bytes_sent_total", labels,
-          [client] { return client->bytes_sent(); });
-      service->metrics_.AddCounterCallback(
+      metrics.AddCounterCallback("rpc_bytes_sent_total", labels,
+                                 [client] { return client->bytes_sent(); });
+      metrics.AddCounterCallback(
           "rpc_bytes_received_total", labels,
           [client] { return client->bytes_received(); });
       Worker* raw = worker.get();
-      service->metrics_.AddGaugeCallback(
-          "worker_alive", labels, [raw] {
-            return raw->alive.load(std::memory_order_acquire) ? 1 : 0;
-          });
-      service->metrics_.AddGaugeCallback(
-          "replica_epoch", labels, [raw] {
-            return static_cast<int64_t>(
-                raw->epoch.load(std::memory_order_relaxed));
-          });
-      service->metrics_.AddCounterCallback(
-          "replica_catchups_total", labels, [raw] {
-            return raw->catchups.load(std::memory_order_relaxed);
-          });
+      metrics.AddGaugeCallback("worker_alive", labels, [raw] {
+        return raw->alive.load(std::memory_order_acquire) ? 1 : 0;
+      });
+      metrics.AddGaugeCallback("replica_epoch", labels, [raw] {
+        return static_cast<int64_t>(raw->epoch.load(std::memory_order_relaxed));
+      });
+      metrics.AddCounterCallback("replica_catchups_total", labels, [raw] {
+        return raw->catchups.load(std::memory_order_relaxed);
+      });
       service->workers_.push_back(std::move(worker));
     }
   }
-  service->svc_metrics_.Init(service->metrics_, service->registry_.Names());
-  service->single_shard_queries_ =
-      service->metrics_.GetCounter("single_shard_queries_total");
-  service->cross_shard_queries_ =
-      service->metrics_.GetCounter("cross_shard_queries_total");
-  service->direct_partials_ =
-      service->metrics_.GetCounter("direct_partial_requests_total");
-  service->scattered_partials_ =
-      service->metrics_.GetCounter("scattered_partial_requests_total");
+  service->next_replica_ =
+      std::make_unique<std::atomic<uint64_t>[]>(num_shards);
   service->partial_rpc_errors_ =
-      service->metrics_.GetCounter("partial_rpc_errors_total");
-  service->metrics_.AddCounterCallback(
+      metrics.GetCounter("partial_rpc_errors_total");
+  service->routing_ = std::make_unique<ShardRouting>(
+      service->dtlp_->partition(), service->assignment_,
+      service->defaults().partial_cache_pairs, metrics,
+      service->partial_rpc_errors_);
+  metrics.AddCounterCallback(
       "worker_restarts_total", {}, [svc = service.get()] {
         uint64_t restarts = 0;
         for (const std::unique_ptr<Worker>& w : svc->workers_) {
@@ -477,59 +278,7 @@ RemoteShardedRoutingService::Create(Graph graph,
         }
         return restarts;
       });
-  service->epochs_->global_lock().InstrumentWriter(
-      service->metrics_.GetCounter("epoch_writer_drains_total"),
-      service->metrics_.GetHistogram("epoch_writer_wait_micros", {},
-                                     LatencyBucketsMicros()));
-  service->metrics_.AddGaugeCallback(
-      "epoch", {}, [epochs = service->epochs_.get()] {
-        return static_cast<int64_t>(epochs->global());
-      });
-
-  // Providers size their caches off workers_, so build them after the fleet.
-  {
-    MutexLock batch_guard(service->batch_mu_);
-    service->batch_workers_.reserve(service->batch_pool_->num_threads());
-    for (unsigned w = 0; w < service->batch_pool_->num_threads(); ++w) {
-      BatchWorker worker;
-      worker.provider = std::make_unique<RemotePartialProvider>(*service);
-      service->batch_workers_.push_back(std::move(worker));
-    }
-  }
-  SubmissionQueueMetrics queue_metrics;
-  queue_metrics.enqueue_blocked_total =
-      service->metrics_.GetCounter("submission_queue_enqueue_blocked_total");
-  queue_metrics.enqueue_block_micros = service->metrics_.GetHistogram(
-      "submission_queue_enqueue_block_micros", {}, LatencyBucketsMicros());
-  queue_metrics.shed_deadline_total =
-      service->metrics_.GetCounter("submission_queue_shed_deadline_total");
-  queue_metrics.shed_quota_total =
-      service->metrics_.GetCounter("submission_queue_shed_quota_total");
-  AdmissionOptions admission;
-  admission.per_tenant_quota = service->options_.per_tenant_quota;
-  service->submit_queue_ = std::make_unique<SubmissionQueue>(
-      service->options_.submit_queue_capacity, /*num_workers=*/1,
-      std::move(queue_metrics), admission);
-  service->metrics_.AddGaugeCallback(
-      "submission_queue_depth", {}, [queue = service->submit_queue_.get()] {
-        return static_cast<int64_t>(queue->pending());
-      });
-  for (RequestPriority priority :
-       {RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kBatch}) {
-    service->metrics_.AddGaugeCallback(
-        "submission_queue_depth_by_priority",
-        {{"priority", PriorityName(priority)}},
-        [queue = service->submit_queue_.get(), priority] {
-          return static_cast<int64_t>(queue->pending(priority));
-        });
-  }
-  service->metrics_.AddCounterCallback(
-      "submission_queue_submitted_total", {},
-      [queue = service->submit_queue_.get()] { return queue->submitted(); });
-  service->metrics_.AddCounterCallback(
-      "submission_queue_completed_total", {},
-      [queue = service->submit_queue_.get()] { return queue->completed(); });
+  service->StartServing(num_shards);
 
   // Spawn last: on any failure the service destructor reaps the workers
   // already started.
@@ -541,10 +290,15 @@ RemoteShardedRoutingService::Create(Graph graph,
 
 RemoteShardedRoutingService::~RemoteShardedRoutingService() {
   // Drain accepted async batches while the fleet still answers partials.
-  submit_queue_.reset();
+  DrainSubmissions();
   for (std::unique_ptr<Worker>& worker : workers_) {
     if (worker != nullptr) StopWorker(*worker);
   }
+}
+
+std::unique_ptr<ShardRoutedProvider>
+RemoteShardedRoutingService::NewPartialProvider() const {
+  return std::make_unique<RemotePartialProvider>(*this);
 }
 
 // Ships the checkpoint graph to the worker process (which rebuilds the
@@ -552,7 +306,8 @@ RemoteShardedRoutingService::~RemoteShardedRoutingService() {
 // cross-checks the rebuilt ownership against the coordinator's.
 Status RemoteShardedRoutingService::LoadCheckpoint(Worker& worker) const {
   LoadGraphRequest load = LoadGraphRequest::FromGraph(
-      checkpoint_graph_, worker.shard, assignment_.num_shards, options_.dtlp);
+      checkpoint_graph_, worker.shard, assignment_.num_shards,
+      dtlp_->options());
   load.replica_id = worker.replica;
   load.base_epoch = checkpoint_epoch_;
   std::string reply_payload;
@@ -562,7 +317,7 @@ Status RemoteShardedRoutingService::LoadCheckpoint(Worker& worker) const {
     called = worker.client->Call(
         MessageType::kLoadGraphRequest, load.Encode(),
         MessageType::kLoadGraphReply, &reply_payload,
-        options_.remote.apply_deadline_ms);
+        remote_.apply_deadline_ms);
   }
   LoadGraphReply loaded;
   if (called.ok()) called = LoadGraphReply::Decode(reply_payload, &loaded);
@@ -596,7 +351,7 @@ Status RemoteShardedRoutingService::ReplayRetainedHistory(
       called = worker.client->Call(
           MessageType::kEpochPrepareRequest, prepare.Encode(),
           MessageType::kEpochPrepareReply, &prepare_reply,
-          options_.remote.apply_deadline_ms);
+          remote_.apply_deadline_ms);
     }
     EpochPrepareReply reply;
     if (called.ok()) called = EpochPrepareReply::Decode(prepare_reply, &reply);
@@ -607,7 +362,7 @@ Status RemoteShardedRoutingService::ReplayRetainedHistory(
 Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
   std::vector<std::string> args = {
       worker_binary_, "--socket", worker.socket_path, "--idle-timeout-ms",
-      std::to_string(options_.remote.worker_idle_timeout_ms)};
+      std::to_string(remote_.worker_idle_timeout_ms)};
   std::vector<char*> argv;
   argv.reserve(args.size() + 1);
   for (std::string& arg : args) argv.push_back(arg.data());
@@ -635,8 +390,7 @@ Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
                      std::memory_order_release);
   // Conservative stamp: flush any cached partials derived from the previous
   // incarnation (they would replay identically, but a flush is always safe).
-  slices_[worker.shard]->weights_epoch.store(epochs_->global(),
-                                             std::memory_order_release);
+  routing_->MarkShardWritten(worker.shard, epochs_->global());
   worker.alive.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -725,18 +479,6 @@ MetricsSnapshot RemoteShardedRoutingService::Metrics() const {
     fleet.Merge(worker_metrics);
   }
   return fleet;
-}
-
-Status RemoteShardedRoutingService::RegisterSolver(
-    std::unique_ptr<KspSolver> solver) {
-  if (serving_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "RegisterSolver must run before the first query is served");
-  }
-  const std::string name(solver->name());
-  KSPDG_RETURN_NOT_OK(registry_.Register(std::move(solver)));
-  svc_metrics_.AddBackend(metrics_, name);
-  return Status::OK();
 }
 
 Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
@@ -831,221 +573,24 @@ void RemoteShardedRoutingService::StopWorker(Worker& worker) {
   if (!worker.socket_path.empty()) ::unlink(worker.socket_path.c_str());
 }
 
-Status RemoteShardedRoutingService::PrepareQuery(const RouteRequest& request,
-                                                 PreparedRoute* prepared) const {
-  return PrepareRoutingQuery(registry_, options_.defaults, graph_, request,
-                             prepared);
-}
-
-Result<RouteResponse> RemoteShardedRoutingService::Query(
-    const RouteRequest& request) const {
-  MarkServing();
-  PreparedRoute prepared;
-  Status status = PrepareQuery(request, &prepared);
-  if (!status.ok()) {
-    svc_metrics_.RecordQueryFailure(status);
-    return status;
-  }
-
-  RemotePartialProvider provider(*this);
-  SolverInput input;
-  input.graph = &graph_;
-  input.dtlp = dtlp_.get();
-  input.partials = &provider;  // DTLP-free backends ignore it
-  input.cands = cands_.get();
-  input.source = request.source;
-  input.target = request.target;
-  input.options = std::move(prepared.merged);
-
-  // Snapshot section: the read pin freezes the coordinator's master state
-  // AND excludes traffic applies, so every worker sits exactly at the
-  // pinned epoch for the pin's lifetime — the epoch stamp on each partials
-  // request turns any violation of that into an explicit error.
-  EpochCoordinator::ReadPin pin(*epochs_);
-  provider.BindPin(&pin);
-  provider.BeginQuery();
-  WallTimer timer;
-  Result<KspQueryResult> solved = prepared.solver->Solve(input);
-  if (!provider.error().ok()) {
-    // A partial fetch failed mid-solve: whatever the solver produced is
-    // untrustworthy. Degrade to the transport error, never a wrong answer.
-    svc_metrics_.RecordQueryFailure(provider.error());
-    partial_rpc_errors_.Increment();
-    return provider.error();
-  }
-  if (!solved.ok()) {
-    svc_metrics_.RecordQueryFailure(solved.status());
-    return solved.status();
-  }
-  RouteResponse response =
-      FinishRouteResponse(prepared.kind, prepared.requested_k,
-                          std::move(input.options), graph_.directed(),
-                          std::move(solved).value());
-  response.stats.solve_micros = timer.ElapsedMicros();
-  response.epoch = pin.epoch();
-  size_t touched = provider.ShardsTouched();
-  if (touched == 1) {
-    single_shard_queries_.Increment();
-  } else if (touched > 1) {
-    cross_shard_queries_.Increment();
-  }
-  svc_metrics_.RecordQuery(prepared.kind, response.backend,
-                           response.stats.solve_micros);
-  return response;
-}
-
-Result<RouteBatchResponse> RemoteShardedRoutingService::QueryBatch(
-    std::span<const RouteRequest> requests) const {
-  MarkServing();
-  RouteBatchResponse batch;
-  batch.items.resize(requests.size());
-
-  // Phase 1 (outside any lock): validate every request and resolve its
-  // backend; failures become per-item statuses, never a batch failure.
-  struct Prepared {
-    size_t index = 0;
-    PreparedRoute route;
-  };
-  std::vector<Prepared> work;
-  work.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Prepared prepared;
-    prepared.index = i;
-    Status status = PrepareQuery(requests[i], &prepared.route);
-    if (!status.ok()) {
-      batch.items[i].status = std::move(status);
-      continue;
-    }
-    work.push_back(std::move(prepared));
-  }
-
-  // Phase 2: group by backend so contiguous chunks share a solver.
-  std::stable_sort(work.begin(), work.end(),
-                   [](const Prepared& a, const Prepared& b) {
-                     return a.route.solver->name() < b.route.solver->name();
-                   });
-
-  // Phase 3 (snapshot section): ONE read pin covers every solve — see
-  // ShardedRoutingService::QueryBatch, whose structure this mirrors
-  // exactly; only the provider behind the seam differs.
-  MutexLock batch_guard(batch_mu_);
-  {
-    EpochCoordinator::ReadPin pin(*epochs_);
-    WallTimer timer;
-    const uint64_t epoch = pin.epoch();
-    batch.epoch = epoch;
-    if (arena_epoch_ != epoch) {
-      for (BatchWorker& worker : batch_workers_) worker.arena.OnSnapshotChange();
-      arena_epoch_ = epoch;
-    }
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(&pin);
-    // The pool threads do not hold batch_mu_ — they are handed disjoint
-    // worker slots while this thread keeps the whole batch section locked,
-    // which the analysis cannot see through the lambda. The raw pointer is
-    // the deliberate escape hatch.
-    BatchWorker* const pool_workers = batch_workers_.data();
-    size_t chunk = std::max<size_t>(
-        1, work.size() / (4 * size_t{batch_pool_->num_threads()}));
-    batch_pool_->ParallelFor(
-        work.size(), chunk, [&](unsigned worker_id, size_t j) {
-          Prepared& p = work[j];
-          BatchWorker& worker = pool_workers[worker_id];
-          SolverInput input;
-          input.graph = &graph_;
-          input.dtlp = dtlp_.get();
-          input.partials = worker.provider.get();
-          input.cands = cands_.get();
-          input.source = requests[p.index].source;
-          input.target = requests[p.index].target;
-          input.options = std::move(p.route.merged);
-          worker.provider->BeginQuery();
-          SolverScratch* scratch = p.route.solver->UsesPartialProvider()
-                                       ? nullptr
-                                       : worker.arena.Get(p.route.solver);
-          RouteBatchItem& item = batch.items[p.index];
-          WallTimer solve_timer;
-          Result<KspQueryResult> solved =
-              p.route.solver->Solve(input, scratch);
-          if (!worker.provider->error().ok()) {
-            item.status = worker.provider->error();
-            partial_rpc_errors_.Increment();
-            return;
-          }
-          if (!solved.ok()) {
-            item.status = solved.status();
-            return;
-          }
-          item.response = FinishRouteResponse(
-              p.route.kind, p.route.requested_k, std::move(input.options),
-              graph_.directed(), std::move(solved).value());
-          item.response.stats.solve_micros = solve_timer.ElapsedMicros();
-          item.response.epoch = epoch;
-          size_t touched = worker.provider->ShardsTouched();
-          if (touched == 1) {
-            single_shard_queries_.Increment();
-          } else if (touched > 1) {
-            cross_shard_queries_.Increment();
-          }
-          svc_metrics_.RecordQuery(p.route.kind, item.response.backend,
-                                   item.response.stats.solve_micros);
-        });
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(nullptr);
-    batch.batch_micros = timer.ElapsedMicros();
-  }
-
-  // Accepted items were recorded per solve (kind/backend/latency); the
-  // admission classification and the rejection/shed totals settle here.
-  svc_metrics_.FinalizeBatchAdmission(batch);
-  return batch;
-}
-
-BatchTicket RemoteShardedRoutingService::SubmitBatch(
-    std::vector<RouteRequest> requests, BatchCallback callback) const {
-  MarkServing();
-  return BatchTicket::SubmitTo(*submit_queue_, *this, std::move(requests),
-                               std::move(callback),
-                               svc_metrics_.admission_view());
-}
-
-Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
+TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
     std::span<const WeightUpdate> updates) {
-  // Validate before taking any lock (mirrors the other services).
-  for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph_.NumEdges()) {
-      return Status::InvalidArgument(
-          "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph_.NumEdges()) +
-          " edges)");
-    }
-    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-      return Status::InvalidArgument("updated weights must be positive");
-    }
-  }
-
   // Coordinator-side grouping: which shards the batch touches, and how many
   // updates each worker SHOULD apply — the cross-check that catches a
   // worker whose deterministic rebuild diverged from ours.
-  const Partition& partition = dtlp_->partition();
-  std::vector<size_t> updates_of_subgraph(dtlp_->NumSubgraphs(), 0);
-  std::vector<SubgraphId> touched;
-  for (const WeightUpdate& update : updates) {
-    SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-    if (sgid == kInvalidSubgraph) continue;
-    if (updates_of_subgraph[sgid] == 0) touched.push_back(sgid);
-    ++updates_of_subgraph[sgid];
-  }
   std::vector<char> shard_touched(assignment_.num_shards, 0);
   std::vector<uint64_t> expected_of_shard(assignment_.num_shards, 0);
-  for (SubgraphId sgid : touched) {
-    ShardId shard = assignment_.shard_of_subgraph[sgid];
+  for (const SubgraphUpdates& group :
+       GroupUpdatesBySubgraph(dtlp_->partition(), updates)) {
+    const ShardId shard = assignment_.shard_of_subgraph[group.sgid];
     shard_touched[shard] = 1;
-    expected_of_shard[shard] += updates_of_subgraph[sgid];
+    expected_of_shard[shard] += group.updates.size();
   }
 
   // Exclusive snapshot section: drain every read pin, then move the master
   // state and every replica to the next global epoch together.
   EpochWriterLock lock(epochs_->global_lock());
-  if (options_.remote.auto_restart) {
+  if (remote_.auto_restart) {
     // Revive dead replicas and catch up lagging ones first so they
     // participate in this epoch instead of falling another batch behind.
     // Best-effort: a replica that stays dead degrades to sibling reads (or
@@ -1066,7 +611,7 @@ Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
   prepare.epoch = epoch;
   prepare.updates.assign(updates.begin(), updates.end());
   const std::string prepare_payload = prepare.Encode();
-  const auto& prepare_hook = options_.remote.before_prepare_hook;
+  const auto& prepare_hook = remote_.before_prepare_hook;
   apply_pool_->ParallelFor(
       workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
         Worker& worker = *workers_[wi];
@@ -1088,7 +633,7 @@ Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
           called = worker.client->Call(
               MessageType::kEpochPrepareRequest, prepare_payload,
               MessageType::kEpochPrepareReply, &reply_payload,
-              options_.remote.apply_deadline_ms);
+              remote_.apply_deadline_ms);
         }
         EpochPrepareReply reply;
         if (called.ok()) {
@@ -1114,27 +659,17 @@ Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
         }
       });
   for (ShardId si = 0; si < assignment_.num_shards; ++si) {
-    if (shard_touched[si] != 0) {
-      slices_[si]->weights_epoch.store(epoch, std::memory_order_release);
-    }
+    if (shard_touched[si] != 0) routing_->MarkShardWritten(si, epoch);
     epochs_->PublishShard(si, epoch);
   }
 
-  // Master apply: identical to RoutingService::ApplyTrafficBatch, so the
-  // filter step (bounds, skeleton, CANDS) stays answer-identical batch for
-  // batch.
-  for (const WeightUpdate& update : updates) graph_.SetWeight(update);
-  TrafficBatchResult result;
-  result.dtlp = dtlp_->ApplyUpdates(updates);
-  if (cands_ != nullptr) {
-    WallTimer cands_timer;
-    result.cands = cands_->ApplyUpdates(updates);
-    result.cands_micros = cands_timer.ElapsedMicros();
-  }
+  // Master apply: the same step RoutingService takes, so the filter step
+  // (bounds, skeleton, CANDS) stays answer-identical batch for batch.
+  TrafficBatchResult result = ApplyToMaster(updates);
   epochs_->Commit(epoch);
   // Only committed batches enter the replay log (== the epoch sequence).
   history_.emplace_back(updates.begin(), updates.end());
-  if (history_.size() >= options_.max_history_batches) {
+  if (history_.size() >= max_history_batches_) {
     // Bound the retained history with a checkpoint: snapshot the committed
     // master weights and truncate the log. A replica restarting later loads
     // this snapshot and replays only the batches committed after it — the
@@ -1151,7 +686,7 @@ Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
   EpochCommitRequest commit;
   commit.epoch = epoch;
   const std::string commit_payload = commit.Encode();
-  const auto& commit_hook = options_.remote.before_commit_hook;
+  const auto& commit_hook = remote_.before_commit_hook;
   apply_pool_->ParallelFor(
       workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
         Worker& worker = *workers_[wi];
@@ -1175,7 +710,6 @@ Result<TrafficBatchResult> RemoteShardedRoutingService::ApplyTrafficBatch(
       });
 
   result.epoch = epoch;
-  svc_metrics_.RecordTrafficBatch(updates.size());
   return result;
 }
 
@@ -1193,21 +727,8 @@ size_t RemoteShardedRoutingService::history_size() const {
 
 RemoteServiceCounters RemoteShardedRoutingService::counters() const {
   RemoteServiceCounters counters;
-  counters.sharded.base.queries_ok = svc_metrics_.queries_ok.value();
-  counters.sharded.base.queries_rejected =
-      svc_metrics_.queries_rejected.value();
-  counters.sharded.base.batches_applied = svc_metrics_.traffic_batches.value();
-  counters.sharded.base.updates_applied = svc_metrics_.weight_updates.value();
-  counters.sharded.single_shard_queries = single_shard_queries_.value();
-  counters.sharded.cross_shard_queries = cross_shard_queries_.value();
-  counters.sharded.direct_partial_requests = direct_partials_.value();
-  counters.sharded.scattered_partial_requests = scattered_partials_.value();
+  counters.sharded = routing_->Counters(BaseCounters());
   counters.partial_rpc_errors = partial_rpc_errors_.value();
-  for (const std::unique_ptr<ShardSlice>& slice : slices_) {
-    counters.sharded.partial_cache_hits += slice->cache_hits.value();
-    counters.sharded.partial_cache_skips += slice->cache_skips.value();
-    counters.sharded.partial_cache_flushes += slice->cache_flushes.value();
-  }
   for (const std::unique_ptr<Worker>& worker : workers_) {
     counters.rpc_calls += worker->client->calls();
     counters.rpc_retries += worker->client->retries();
@@ -1239,7 +760,7 @@ std::vector<RemoteWorkerInfo> RemoteShardedRoutingService::WorkerInfos()
     info.vertices = assignment_.vertices_of_shard[worker->shard];
     info.partial_requests = worker->partial_requests.value();
     info.yen_runs = worker->yen_runs.value();
-    info.partial_cache_hits = slices_[worker->shard]->cache_hits.value();
+    info.partial_cache_hits = routing_->cache_hits(worker->shard);
     info.rpc_calls = worker->client->calls();
     info.rpc_retries = worker->client->retries();
     info.rpc_deadline_expired = worker->client->deadline_expired();

@@ -1,7 +1,7 @@
-// RemoteShardedRoutingService: the RoutingService contract served by N
-// out-of-process shard workers — the process-boundary deployment of the
-// paper's distributed Storm topology (§4), grown out of the in-process
-// ShardedRoutingService by cutting at the seams PR 3 left for it.
+// RemoteShardedRoutingService: the serving core (api/serving_core.h) with
+// its partials computed by N out-of-process shard workers — the
+// process-boundary deployment of the paper's distributed Storm topology
+// (§4).
 //
 // Topology: one coordinator (this class) plus num_shards `shard_worker`
 // processes, each owning one shard of the DTLP partition (the same
@@ -18,13 +18,13 @@
 // construction. (Keeping the level-1 indexes on the coordinator as well is
 // a deliberate deviation from the paper's pure deployment; it is what lets
 // one node answer the filter step without a network hop per bound lookup.)
+// The deployment supplies the core's two seams:
 //
-//   Query / QueryBatch / SubmitBatch
-//                   identical surface and snapshot semantics to
-//                   ShardedRoutingService (one EpochCoordinator::ReadPin per
-//                   batch); partial requests become PartialsRequest RPCs to
-//                   the owning workers, with the same per-(shard, worker)
-//                   caches and cap/flush telemetry.
+//   partials        a ShardRoutedProvider (shard/shard_routed_provider.h)
+//                   whose fetch is a PartialsRequest RPC to a replica of
+//                   the owning shard — the same routing, per-(shard,
+//                   worker) caches and cap/flush telemetry as the
+//                   in-process shards.
 //   ApplyTrafficBatch
 //                   two-phase cross-process epoch commit under the global
 //                   exclusive lock: BeginAdvance, then EpochPrepare RPCs fan
@@ -69,27 +69,19 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "api/batch_ticket.h"
-#include "api/ksp_solver.h"
-#include "api/routing_options.h"
-#include "api/routing_service.h"
-#include "api/routing_service_interface.h"
-#include "api/service_metrics.h"
-#include "core/epoch_coordinator.h"
-#include "core/epoch_lock.h"
+#include "api/serving_core.h"
 #include "core/mutex.h"
 #include "core/status.h"
-#include "core/submission_queue.h"
 #include "core/thread_annotations.h"
 #include "core/thread_pool.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "partition/shard_assignment.h"
 #include "rpc/client.h"
-#include "shard/sharded_routing_service.h"
+#include "shard/shard_routed_provider.h"
 
 namespace kspdg {
 
@@ -137,15 +129,9 @@ struct RemoteWorkerOptions {
   std::function<bool(const ReplicaFaultPoint&)> before_commit_hook;
 };
 
-struct RemoteShardedRoutingServiceOptions {
-  /// Service-wide defaults; any field can be overridden per request.
-  RoutingOptions defaults;
-  /// DTLP construction knobs — shipped to every worker verbatim, so both
-  /// sides build the identical index.
-  DtlpOptions dtlp;
-  /// Coordinator-owned CANDS baseline index (same contract as the other
-  /// services).
-  bool enable_cands = true;
+/// The DTLP knobs (`dtlp`) are shipped to every worker verbatim, so both
+/// sides build the identical index.
+struct RemoteShardedRoutingServiceOptions : ServingOptions {
   /// Shards of the subgraph partition (>= 1).
   uint32_t num_shards = 2;
   /// Replica workers per shard (>= 1). The fleet runs
@@ -159,15 +145,6 @@ struct RemoteShardedRoutingServiceOptions {
   /// Threads fanning one ApplyTrafficBatch's prepare RPCs across workers
   /// (0 = one per worker, capped at the hardware thread count).
   unsigned apply_threads = 0;
-  /// Threads answering one QueryBatch (0 = auto, capped at 16).
-  unsigned batch_threads = 0;
-  /// SubmitBatch queue capacity (0 is treated as 1). No-envelope submits
-  /// block when full (backpressure); QoS submits shed instead.
-  size_t submit_queue_capacity = 8;
-  /// Max pending SubmitBatch envelopes one tenant_id may hold at once;
-  /// over-quota QoS submits are shed with kResourceExhausted instead of
-  /// blocking (0 = unlimited, tenants with an empty id are unmetered).
-  size_t per_tenant_quota = 0;
   RemoteWorkerOptions remote;
 };
 
@@ -218,50 +195,24 @@ struct RemoteServiceCounters {
   uint64_t partial_rpc_errors = 0;
 };
 
-class RemoteShardedRoutingService : public RoutingServiceInterface {
+class RemoteShardedRoutingService : public ServingCore {
  public:
   /// Takes ownership of `graph`, builds the coordinator's master state
   /// (DTLP, CANDS, shard assignment — exactly as the in-process services
-  /// do), then spawns one shard_worker per shard and ships each the graph.
-  /// Fails if the worker binary cannot be found/spawned or a worker fails
-  /// to load the graph; already-spawned workers are torn down on failure.
+  /// do), then spawns num_shards * num_replicas shard_workers and ships
+  /// each the graph. Answers are byte-identical to ShardedRoutingService
+  /// over the same graph and traffic history, whichever replica serves each
+  /// partial fetch; a query whose shard has no replica at the pinned epoch
+  /// returns kUnavailable/kDeadlineExceeded instead of hanging. Fails if
+  /// the worker binary cannot be found/spawned or a worker fails to load
+  /// the graph; already-spawned workers are torn down on failure.
   static Result<std::unique_ptr<RemoteShardedRoutingService>> Create(
       Graph graph, RemoteShardedRoutingServiceOptions options = {});
-
-  RemoteShardedRoutingService(const RemoteShardedRoutingService&) = delete;
-  RemoteShardedRoutingService& operator=(const RemoteShardedRoutingService&) =
-      delete;
 
   /// Drains the async submission queue, then shuts the workers down
   /// (graceful Shutdown RPC first, SIGKILL after a grace period) and reaps
   /// every child process.
   ~RemoteShardedRoutingService() override;
-
-  /// Answers q(source, target) — any QueryKind — on the current global
-  /// snapshot. Byte-identical to ShardedRoutingService::Query over the same
-  /// graph and traffic history, whichever replica serves each partial
-  /// fetch. A fetch fails over to sibling replicas; only a query whose
-  /// shard has no replica at the pinned epoch returns
-  /// kUnavailable/kDeadlineExceeded instead of hanging.
-  Result<RouteResponse> Query(const RouteRequest& request) const override;
-
-  /// Batch counterpart, same contract as ShardedRoutingService::QueryBatch
-  /// (one multi-shard snapshot, per-item statuses, per-(shard, worker)
-  /// partial caches on the batch pool).
-  Result<RouteBatchResponse> QueryBatch(
-      std::span<const RouteRequest> requests) const override;
-
-  /// Asynchronous QueryBatch (same ticket contract as the other services).
-  [[nodiscard]] BatchTicket SubmitBatch(std::vector<RouteRequest> requests,
-                          BatchCallback callback = nullptr) const override;
-
-  /// Applies one batch of weight updates atomically across the coordinator
-  /// and every replica via the two-phase epoch commit (see file comment).
-  /// The batch succeeds as long as the coordinator's master state applies;
-  /// a replica that fails its prepare is marked dead (reads fail over to
-  /// its siblings until it is restarted) rather than failing the batch.
-  Result<TrafficBatchResult> ApplyTrafficBatch(
-      std::span<const WeightUpdate> updates) override;
 
   /// Health-checks every replica, respawns + replays the dead ones (from
   /// the latest checkpoint), and replays an alive-but-lagging replica back
@@ -269,17 +220,6 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   /// alive at the committed epoch afterwards; kUnavailable when any could
   /// not be revived (the others still serve).
   Status RestartDeadWorkers();
-
-  /// Adds a custom backend (same freeze-on-first-query contract as the
-  /// other services).
-  Status RegisterSolver(std::unique_ptr<KspSolver> solver);
-
-  /// Committed global epoch (0 until the first batch).
-  uint64_t CurrentEpoch() const override { return epochs_->global(); }
-
-  std::vector<std::string> BackendNames() const override {
-    return registry_.Names();
-  }
 
   /// Fleet-wide scrape: the coordinator's own registry merged with every
   /// worker's latest snapshot. Live workers are pinged (each ping carries
@@ -297,7 +237,7 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   std::vector<RemoteWorkerInfo> WorkerInfos() const;
 
   uint32_t num_shards() const { return assignment_.num_shards; }
-  uint32_t num_replicas() const { return options_.num_replicas; }
+  uint32_t num_replicas() const { return num_replicas_; }
   const ShardAssignment& assignment() const { return assignment_; }
 
   /// Checkpoint bookkeeping (monitoring + tests): the epoch of the latest
@@ -305,12 +245,6 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   /// cost of a replica restart is bounded by history_size().
   uint64_t checkpoint_epoch() const;
   size_t history_size() const;
-
-  /// Read-only views of the coordinator's master state.
-  const Graph& graph() const { return graph_; }
-  const Dtlp& dtlp() const { return *dtlp_; }
-  const CandsIndex* cands() const { return cands_.get(); }
-  const RoutingOptions& defaults() const { return options_.defaults; }
 
  private:
   /// One replica worker process: transport handle, liveness, and its share
@@ -347,45 +281,20 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
     mutable bool has_metrics GUARDED_BY(metrics_mu) = false;
   };
 
-  /// Per-shard state shared by the shard's replicas: the cache-flush stamp
-  /// (same semantics as Shard::weights_epoch — all replicas serve
-  /// byte-identical partials, so the caches are replica-agnostic) and the
-  /// read-rotation cursor. Heap-allocated because atomics are immovable.
-  struct ShardSlice {
-    std::atomic<uint64_t> weights_epoch{0};
-    /// Round-robin start offset for the next partial fetch of this shard.
-    mutable std::atomic<uint64_t> next_replica{0};
-    /// Cache telemetry labelled {shard="<s>"} (the caches are per shard).
-    Counter cache_hits;
-    Counter cache_skips;
-    Counter cache_flushes;
-  };
-
   class RemotePartialProvider;
-
-  /// Persistent per-batch-pool-worker state (see ShardedRoutingService).
-  struct BatchWorker {
-    SolverScratchArena arena;
-    std::unique_ptr<RemotePartialProvider> provider;
-
-    BatchWorker();
-    BatchWorker(BatchWorker&&) noexcept;
-    BatchWorker& operator=(BatchWorker&&) noexcept;
-    ~BatchWorker();
-  };
 
   RemoteShardedRoutingService(Graph graph,
                               RemoteShardedRoutingServiceOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+      : ServingCore(std::move(graph), options),
+        num_replicas_(options.num_replicas),
+        max_history_batches_(options.max_history_batches),
+        remote_(std::move(options.remote)) {}
 
-  Status PrepareQuery(const RouteRequest& request,
-                      PreparedRoute* prepared) const;
+  std::unique_ptr<ShardRoutedProvider> NewPartialProvider() const override;
 
-  void MarkServing() const {
-    if (!serving_.load(std::memory_order_relaxed)) {
-      serving_.store(true, std::memory_order_release);
-    }
-  }
+  /// The two-phase epoch commit (see file comment).
+  TrafficBatchResult ApplyBatch(
+      std::span<const WeightUpdate> updates) override;
 
   /// Ships the latest checkpoint graph to `worker` and cross-checks the
   /// deterministic rebuild. Caller holds the global exclusive lock (or is
@@ -410,8 +319,7 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   Status RestartDeadWorkersLocked();
 
   Worker& WorkerAt(ShardId shard, uint32_t replica) const {
-    return *workers_[static_cast<size_t>(shard) * options_.num_replicas +
-                     replica];
+    return *workers_[static_cast<size_t>(shard) * num_replicas_ + replica];
   }
 
   /// Pings `worker`; marks it dead on failure.
@@ -425,12 +333,9 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   /// Best-effort graceful shutdown + SIGKILL + reap of one worker process.
   void StopWorker(Worker& worker);
 
-  Graph graph_;
-  RemoteShardedRoutingServiceOptions options_;
-  /// Owns every metric cell the members below hold handles into. Declared
-  /// before them so it is destroyed LAST — after submit_queue_, whose
-  /// destructor still drains batches that bump counters.
-  MetricsRegistry metrics_;
+  const uint32_t num_replicas_;
+  const size_t max_history_batches_;
+  const RemoteWorkerOptions remote_;
   /// Latest checkpoint: a full copy of the graph as of checkpoint_epoch_
   /// (the pristine Create-time graph at epoch 0 until the first checkpoint
   /// is taken). What a (re)spawned worker is loaded with before the
@@ -445,36 +350,19 @@ class RemoteShardedRoutingService : public RoutingServiceInterface {
   /// by max_history_batches (a new checkpoint truncates it); guarded by
   /// the global exclusive lock.
   std::vector<std::vector<WeightUpdate>> history_;
-  std::unique_ptr<Dtlp> dtlp_;
-  std::unique_ptr<CandsIndex> cands_;
-  SolverRegistry registry_;
-  mutable std::atomic<bool> serving_{false};
   ShardAssignment assignment_;
   /// Resolved worker binary path (see RemoteWorkerOptions::worker_binary).
   std::string worker_binary_;
   /// The fleet, shard-major: workers_[shard * num_replicas + replica].
   std::vector<std::unique_ptr<Worker>> workers_;
-  /// Per-shard replica-shared state, indexed by ShardId.
-  std::vector<std::unique_ptr<ShardSlice>> slices_;
-  std::unique_ptr<EpochCoordinator> epochs_;
+  /// Per shard, the round-robin start offset of its next partial fetch.
+  std::unique_ptr<std::atomic<uint64_t>[]> next_replica_;
+  /// Per-shard cache stamps and routing telemetry. The caches are per
+  /// shard, not per replica: every replica serves byte-identical partials.
+  std::unique_ptr<ShardRouting> routing_;
   std::unique_ptr<ThreadPool> apply_pool_;
-  std::unique_ptr<ThreadPool> batch_pool_;
-
-  mutable Mutex batch_mu_{"RemoteShardedRoutingService::batch_mu_"};
-  mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
-  mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
-
-  /// Query/update handles into metrics_ (RemoteServiceCounters is a view
-  /// over these plus the per-worker handles and the RPC client atomics).
-  ServiceMetrics svc_metrics_;
-  Counter single_shard_queries_;
-  Counter cross_shard_queries_;
-  Counter direct_partials_;
-  Counter scattered_partials_;
+  /// Queries that failed because a partial RPC failed.
   Counter partial_rpc_errors_;
-
-  /// Declared last so it is destroyed FIRST (drains accepted batches).
-  std::unique_ptr<SubmissionQueue> submit_queue_;
 };
 
 }  // namespace kspdg

@@ -2,569 +2,95 @@
 
 #include <algorithm>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/strings.h"
-#include "core/timer.h"
-#include "ksp/path.h"
+#include "core/epoch_lock.h"
 #include "kspdg/partial_provider.h"
 
 namespace kspdg {
 
-namespace {
-
-/// Threads one ApplyTrafficBatch fan-out may use when the caller does not
-/// say: one per shard, capped at the hardware thread count.
-unsigned ResolveApplyThreads(unsigned requested, size_t num_shards) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  return static_cast<unsigned>(
-      std::min<size_t>(num_shards, static_cast<size_t>(hw)));
-}
-
-uint64_t PairKey(VertexId a, VertexId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
-
-// Routes each boundary-pair partial request to the shard(s) owning the
-// subgraphs that contain the pair. A pair owned entirely by one shard is
-// served directly under that shard's reader lock; a pair spanning shards
-// scatters to every owner and gathers the per-subgraph lists through
-// MergeSubgraphPartials — the same merge LocalPartialProvider uses — so
-// the gathered result is identical to the inline computation by
-// construction. One provider instance serves one query at a time on one
-// thread; a batch worker keeps its instance alive across queries so the
-// per-shard caches stay warm.
-//
-// The cache is a memoisation of PartialsInSubgraph per (shard, x, y, depth):
-// an entry is reused only when the requested depth matches exactly, or when
-// the cached lists are complete (exhausted at a depth <= the request, so a
-// fresh Yen run would return the very same lists). Either way the replay
-// feeds MergeSubgraphPartials the identical inputs a fresh computation
-// would, which keeps batch answers byte-identical to the unsharded
-// sequential path — reusing *deeper* lists instead would not be safe, since
-// InsertTopK's ordering under distance ties is sensitive to the extra
-// entries. Each shard's slice of the cache is stamped with that shard's
-// epoch and flushed when the shard publishes a new one.
-class ShardedRoutingService::ShardPartialProvider : public PartialProvider {
+// Fetches inline under the shard's read lock — the in-process stand-in for
+// shipping the request to the shard's worker, with the shard's state frozen
+// while it computes.
+class ShardedRoutingService::InProcessProvider final
+    : public ShardRoutedProvider {
  public:
-  explicit ShardPartialProvider(const ShardedRoutingService& service)
-      : service_(service),
-        max_cached_pairs_(service.options_.defaults.partial_cache_pairs),
-        caches_(service.shards_.size()),
-        shard_touched_(service.shards_.size(), 0) {}
-
-  /// Binds the multi-shard read pin this provider computes under. The pin
-  /// must stay alive for every ComputePartials call until rebound.
-  void BindPin(const EpochCoordinator::ReadPin* pin) { pin_ = pin; }
-
-  /// Resets the per-query shard-touch tracking (the cache persists).
-  void BeginQuery() {
-    std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
-  }
-
-  /// Distinct shards the current query's partial requests landed on.
-  size_t ShardsTouched() const {
-    size_t n = 0;
-    for (char touched : shard_touched_) n += touched != 0;
-    return n;
-  }
-
-  PartialResult ComputePartials(VertexId x, VertexId y,
-                                size_t depth) override {
-    const Partition& partition = service_.dtlp_->partition();
-    // Group the owning subgraphs by shard. Boundary pairs live in at most a
-    // handful of subgraphs, so linear scans beat any map.
-    std::vector<std::pair<ShardId, std::vector<SubgraphId>>> groups;
-    for (SubgraphId sgid : partition.SubgraphsContainingBoth(x, y)) {
-      ShardId shard = service_.assignment_.shard_of_subgraph[sgid];
-      auto it =
-          std::find_if(groups.begin(), groups.end(),
-                       [shard](const auto& g) { return g.first == shard; });
-      if (it == groups.end()) {
-        groups.push_back({shard, {sgid}});
-      } else {
-        it->second.push_back(sgid);
-      }
-    }
-    // Scatter: every owning shard contributes its subgraphs' partial lists —
-    // from its per-(shard, worker) cache when it has served this exact
-    // request at this snapshot before, otherwise computed fresh under the
-    // shard's reader lock (the in-process stand-in for shipping the request
-    // to the shard's worker, with the shard's state frozen while it
-    // computes).
-    std::vector<SubgraphPartials> gathered;
-    size_t fresh_runs = 0;
-    const uint64_t key = PairKey(x, y);
-    for (const auto& [shard_id, owned] : groups) {
-      const Shard& shard = *service_.shards_[shard_id];
-      shard_touched_[shard_id] = 1;
-      ShardCache& cache = caches_[shard_id];
-      // Flush against the shard's weights stamp, not the published epoch:
-      // a traffic batch that never touched this shard's subgraphs leaves
-      // its cached partials valid (and the other shards' slices are
-      // independent either way). Stable under the pin — writers are
-      // excluded by the global lock.
-      const uint64_t weights_epoch =
-          shard.weights_epoch.load(std::memory_order_acquire);
-      if (cache.epoch != weights_epoch) {
-        if (!cache.entries.empty()) {
-          shard.cache_flushes.Increment();
-          cache.entries.clear();
-        }
-        cache.epoch = weights_epoch;
-      }
-      if (const CacheEntry* hit = cache.Find(key, depth)) {
-        shard.cache_hits.Increment();
-        gathered.insert(gathered.end(), hit->lists.begin(), hit->lists.end());
-        continue;
-      }
-      shard.partial_requests.Increment();
-      shard.yen_runs.Increment(owned.size());
-      fresh_runs += owned.size();
-      CacheEntry entry;
-      entry.depth = depth;
-      {
-        EpochReaderLock lock = pin_->LockShard(shard_id);
-        for (SubgraphId sgid : owned) {
-          const Subgraph& sg = partition.subgraphs[sgid];
-          entry.lists.push_back(
-              {sgid,
-               LocalPartialProvider::PartialsInSubgraph(sg, x, y, depth)});
-        }
-      }
-      entry.exhausted = true;
-      for (const SubgraphPartials& list : entry.lists) {
-        if (list.paths.size() >= depth) entry.exhausted = false;
-      }
-      gathered.insert(gathered.end(), entry.lists.begin(), entry.lists.end());
-      // Bound the memoisation: between flushes a read-heavy workload could
-      // otherwise accumulate path lists for every boundary pair it ever
-      // touched. Past the cap (RoutingOptions::partial_cache_pairs), new
-      // pairs are computed but not cached (the cache is an optimisation;
-      // correctness never depends on a hit).
-      if (max_cached_pairs_ != 0 &&
-          (cache.entries.size() < max_cached_pairs_ ||
-           cache.entries.count(key) != 0)) {
-        cache.entries[key].push_back(std::move(entry));
-      } else {
-        shard.cache_skips.Increment();
-      }
-    }
-    // Gather: the shared merge (see MergeSubgraphPartials) replays the
-    // unsharded provider's ascending-subgraph order, so the result is
-    // identical to the inline computation by construction.
-    PartialResult result = MergeSubgraphPartials(std::move(gathered), depth);
-    // Cached lists cost no Yen invocations; report only the fresh work.
-    result.yen_runs = fresh_runs;
-    if (groups.size() == 1) {
-      service_.direct_partials_.Increment();
-    } else if (groups.size() > 1) {
-      service_.scattered_partials_.Increment();
-    }
-    return result;
-  }
+  explicit InProcessProvider(const ShardedRoutingService& service)
+      : ShardRoutedProvider(*service.routing_), service_(service) {}
 
  private:
-  struct CacheEntry {
-    size_t depth = 0;
-    /// Every list came back shorter than `depth`: the lists are complete,
-    /// so they equal a fresh computation at ANY depth >= this one.
-    bool exhausted = false;
-    std::vector<SubgraphPartials> lists;
-  };
-
-  struct ShardCache {
-    /// Weights stamp (Shard::weights_epoch) the entries were computed at;
-    /// a change flushes them.
-    uint64_t epoch = 0;
-    /// (x, y) -> entries at the distinct depths requested so far (the
-    /// KSP-DG depth schedule is k, 2k, 4k, ... — a handful per pair).
-    std::unordered_map<uint64_t, std::vector<CacheEntry>> entries;
-
-    const CacheEntry* Find(uint64_t key, size_t depth) const {
-      auto it = entries.find(key);
-      if (it == entries.end()) return nullptr;
-      for (const CacheEntry& entry : it->second) {
-        if (entry.depth == depth ||
-            (entry.exhausted && entry.depth <= depth)) {
-          return &entry;
-        }
-      }
-      return nullptr;
+  Status Fetch(ShardId shard, const std::vector<SubgraphId>& owned,
+               VertexId x, VertexId y, size_t depth,
+               std::vector<SubgraphPartials>* lists) override {
+    service_.shards_[shard].partial_requests.Increment();
+    service_.shards_[shard].yen_runs.Increment(owned.size());
+    const Partition& partition = service_.dtlp().partition();
+    EpochReaderLock lock = pin().LockShard(shard);
+    for (SubgraphId sgid : owned) {
+      lists->push_back({sgid, LocalPartialProvider::PartialsInSubgraph(
+                                  partition.subgraphs[sgid], x, y, depth)});
     }
-  };
+    return Status::OK();
+  }
 
   const ShardedRoutingService& service_;
-  /// RoutingOptions::partial_cache_pairs, frozen at provider construction.
-  const size_t max_cached_pairs_;
-  const EpochCoordinator::ReadPin* pin_ = nullptr;
-  std::vector<ShardCache> caches_;
-  std::vector<char> shard_touched_;
 };
-
-ShardedRoutingService::BatchWorker::BatchWorker() = default;
-ShardedRoutingService::BatchWorker::BatchWorker(BatchWorker&&) noexcept =
-    default;
-ShardedRoutingService::BatchWorker& ShardedRoutingService::BatchWorker::
-operator=(BatchWorker&&) noexcept = default;
-ShardedRoutingService::BatchWorker::~BatchWorker() = default;
 
 Result<std::unique_ptr<ShardedRoutingService>> ShardedRoutingService::Create(
     Graph graph, ShardedRoutingServiceOptions options) {
-  KSPDG_RETURN_NOT_OK(options.defaults.Validate());
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  // Heap-allocate before building the DTLP: the index keeps a pointer to
-  // the service-owned graph.
+  const uint32_t requested_shards = options.num_shards;
+  const unsigned apply_threads = options.apply_threads;
   std::unique_ptr<ShardedRoutingService> service(
       new ShardedRoutingService(std::move(graph), std::move(options)));
-  Result<std::unique_ptr<Dtlp>> dtlp =
-      Dtlp::Build(service->graph_, service->options_.dtlp);
-  if (!dtlp.ok()) return dtlp.status();
-  service->dtlp_ = std::move(dtlp).value();
-  if (service->options_.enable_cands) {
-    Result<std::unique_ptr<CandsIndex>> cands =
-        BuildCandsIndex(service->graph_, service->options_.dtlp);
-    if (!cands.ok()) return cands.status();
-    service->cands_ = std::move(cands).value();
-  }
-  Result<ShardAssignment> assignment = AssignShards(
-      service->dtlp_->partition(), service->options_.num_shards);
+  KSPDG_RETURN_NOT_OK(service->BuildIndexes());
+  Result<ShardAssignment> assignment =
+      AssignShards(service->dtlp_->partition(), requested_shards);
   if (!assignment.ok()) return assignment.status();
   service->assignment_ = std::move(assignment).value();
-  service->registry_ = SolverRegistry::Default();
-  service->shards_.reserve(service->assignment_.num_shards);
-  for (ShardId shard = 0; shard < service->assignment_.num_shards; ++shard) {
-    auto owned = std::make_unique<Shard>();
-    owned->subgraphs = service->assignment_.subgraphs_of_shard[shard];
+  const uint32_t num_shards = service->assignment_.num_shards;
+  service->shards_.resize(num_shards);
+  for (ShardId shard = 0; shard < num_shards; ++shard) {
     // Per-shard partial traffic, labelled so one scrape shows the split.
     const MetricLabels labels = {{"shard", std::to_string(shard)}};
-    owned->partial_requests =
+    service->shards_[shard].partial_requests =
         service->metrics_.GetCounter("partial_requests_total", labels);
-    owned->yen_runs = service->metrics_.GetCounter("yen_runs_total", labels);
-    owned->cache_hits =
-        service->metrics_.GetCounter("partial_cache_hits_total", labels);
-    owned->cache_skips =
-        service->metrics_.GetCounter("partial_cache_skips_total", labels);
-    owned->cache_flushes =
-        service->metrics_.GetCounter("partial_cache_flushes_total", labels);
-    service->shards_.push_back(std::move(owned));
+    service->shards_[shard].yen_runs =
+        service->metrics_.GetCounter("yen_runs_total", labels);
   }
-  service->epochs_ =
-      std::make_unique<EpochCoordinator>(service->shards_.size());
-  service->apply_pool_ = std::make_unique<ThreadPool>(ResolveApplyThreads(
-      service->options_.apply_threads, service->shards_.size()));
-  service->batch_pool_ = std::make_unique<ThreadPool>(
-      DefaultBatchThreads(service->options_.batch_threads));
-  service->batch_workers_.reserve(service->batch_pool_->num_threads());
-  for (unsigned w = 0; w < service->batch_pool_->num_threads(); ++w) {
-    BatchWorker worker;
-    worker.provider = std::make_unique<ShardPartialProvider>(*service);
-    service->batch_workers_.push_back(std::move(worker));
-  }
-  // Wire the remaining instrumentation before any traffic: the hot path
-  // only ever touches pre-resolved handles.
-  service->svc_metrics_.Init(service->metrics_, service->registry_.Names());
-  service->single_shard_queries_ =
-      service->metrics_.GetCounter("single_shard_queries_total");
-  service->cross_shard_queries_ =
-      service->metrics_.GetCounter("cross_shard_queries_total");
-  service->direct_partials_ =
-      service->metrics_.GetCounter("direct_partial_requests_total");
-  service->scattered_partials_ =
-      service->metrics_.GetCounter("scattered_partial_requests_total");
-  service->epochs_->global_lock().InstrumentWriter(
-      service->metrics_.GetCounter("epoch_writer_drains_total"),
-      service->metrics_.GetHistogram("epoch_writer_wait_micros", {},
-                                     LatencyBucketsMicros()));
-  service->metrics_.AddGaugeCallback(
-      "epoch", {}, [epochs = service->epochs_.get()] {
-        return static_cast<int64_t>(epochs->global());
-      });
-  for (size_t shard = 0; shard < service->shards_.size(); ++shard) {
-    service->metrics_.AddGaugeCallback(
-        "shard_epoch", {{"shard", std::to_string(shard)}},
-        [epochs = service->epochs_.get(), shard] {
-          return static_cast<int64_t>(epochs->shard(shard));
-        });
-  }
-
-  SubmissionQueueMetrics queue_metrics;
-  queue_metrics.enqueue_blocked_total =
-      service->metrics_.GetCounter("submission_queue_enqueue_blocked_total");
-  queue_metrics.enqueue_block_micros = service->metrics_.GetHistogram(
-      "submission_queue_enqueue_block_micros", {}, LatencyBucketsMicros());
-  queue_metrics.shed_deadline_total =
-      service->metrics_.GetCounter("submission_queue_shed_deadline_total");
-  queue_metrics.shed_quota_total =
-      service->metrics_.GetCounter("submission_queue_shed_quota_total");
-  AdmissionOptions admission;
-  admission.per_tenant_quota = service->options_.per_tenant_quota;
-  service->submit_queue_ = std::make_unique<SubmissionQueue>(
-      service->options_.submit_queue_capacity, /*num_workers=*/1,
-      std::move(queue_metrics), admission);
-  service->metrics_.AddGaugeCallback(
-      "submission_queue_depth", {}, [queue = service->submit_queue_.get()] {
-        return static_cast<int64_t>(queue->pending());
-      });
-  for (RequestPriority priority :
-       {RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kBatch}) {
-    service->metrics_.AddGaugeCallback(
-        "submission_queue_depth_by_priority",
-        {{"priority", PriorityName(priority)}},
-        [queue = service->submit_queue_.get(), priority] {
-          return static_cast<int64_t>(queue->pending(priority));
-        });
-  }
-  service->metrics_.AddCounterCallback(
-      "submission_queue_submitted_total", {},
-      [queue = service->submit_queue_.get()] { return queue->submitted(); });
-  service->metrics_.AddCounterCallback(
-      "submission_queue_completed_total", {},
-      [queue = service->submit_queue_.get()] { return queue->completed(); });
+  service->routing_ = std::make_unique<ShardRouting>(
+      service->dtlp_->partition(), service->assignment_,
+      service->defaults().partial_cache_pairs, service->metrics_);
+  service->apply_pool_ = std::make_unique<ThreadPool>(
+      ResolveApplyThreads(apply_threads, num_shards));
+  service->StartServing(num_shards);
   return service;
 }
 
-ShardedRoutingService::~ShardedRoutingService() = default;
+ShardedRoutingService::~ShardedRoutingService() { DrainSubmissions(); }
 
-Status ShardedRoutingService::RegisterSolver(std::unique_ptr<KspSolver> solver) {
-  if (serving_.load(std::memory_order_acquire)) {
-    return Status::FailedPrecondition(
-        "RegisterSolver must run before the first query is served");
-  }
-  const std::string name(solver->name());
-  KSPDG_RETURN_NOT_OK(registry_.Register(std::move(solver)));
-  svc_metrics_.AddBackend(metrics_, name);
-  return Status::OK();
+std::unique_ptr<ShardRoutedProvider>
+ShardedRoutingService::NewPartialProvider() const {
+  return std::make_unique<InProcessProvider>(*this);
 }
 
-Status ShardedRoutingService::PrepareQuery(const RouteRequest& request,
-                                           PreparedRoute* prepared) const {
-  return PrepareRoutingQuery(registry_, options_.defaults, graph_, request,
-                             prepared);
-}
-
-Result<RouteResponse> ShardedRoutingService::Query(
-    const RouteRequest& request) const {
-  MarkServing();
-  PreparedRoute prepared;
-  Status status = PrepareQuery(request, &prepared);
-  if (!status.ok()) {
-    svc_metrics_.RecordQueryFailure(status);
-    return status;
-  }
-
-  ShardPartialProvider provider(*this);
-  SolverInput input;
-  input.graph = &graph_;
-  input.dtlp = dtlp_.get();
-  input.partials = &provider;  // DTLP-free backends ignore it
-  input.cands = cands_.get();
-  input.source = request.source;
-  input.target = request.target;
-  input.options = std::move(prepared.merged);
-
-  // Snapshot section: the read pin freezes the flat weights, the skeleton,
-  // and every shard's epoch; the shard locks taken inside the provider
-  // freeze each shard's slice while it serves a partial request. Single
-  // queries and batches thereby share one locking protocol — the
-  // coordinator's.
-  EpochCoordinator::ReadPin pin(*epochs_);
-  provider.BindPin(&pin);
-  WallTimer timer;
-  Result<KspQueryResult> solved = prepared.solver->Solve(input);
-  if (!solved.ok()) {
-    svc_metrics_.RecordQueryFailure(solved.status());
-    return solved.status();
-  }
-  RouteResponse response =
-      FinishRouteResponse(prepared.kind, prepared.requested_k,
-                          std::move(input.options), graph_.directed(),
-                          std::move(solved).value());
-  response.stats.solve_micros = timer.ElapsedMicros();
-  response.epoch = pin.epoch();
-  size_t touched = provider.ShardsTouched();
-  if (touched == 1) {
-    single_shard_queries_.Increment();
-  } else if (touched > 1) {
-    cross_shard_queries_.Increment();
-  }
-  svc_metrics_.RecordQuery(prepared.kind, response.backend,
-                           response.stats.solve_micros);
-  return response;
-}
-
-Result<RouteBatchResponse> ShardedRoutingService::QueryBatch(
-    std::span<const RouteRequest> requests) const {
-  MarkServing();
-  RouteBatchResponse batch;
-  batch.items.resize(requests.size());
-
-  // Phase 1 (outside any lock): validate every request and resolve its
-  // backend. Failures become per-item statuses, never a batch failure.
-  struct Prepared {
-    size_t index = 0;
-    PreparedRoute route;
-  };
-  std::vector<Prepared> work;
-  work.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Prepared prepared;
-    prepared.index = i;
-    Status status = PrepareQuery(requests[i], &prepared.route);
-    if (!status.ok()) {
-      batch.items[i].status = std::move(status);
-      continue;
-    }
-    work.push_back(std::move(prepared));
-  }
-
-  // Phase 2: group by backend so the contiguous chunks a worker claims
-  // mostly share a solver and its scratch stays warm across them.
-  std::stable_sort(work.begin(), work.end(),
-                   [](const Prepared& a, const Prepared& b) {
-                     return a.route.solver->name() < b.route.solver->name();
-                   });
-
-  // Phase 3 (snapshot section): ONE read pin covers every solve, so the
-  // whole batch is answered at a single coherent multi-shard snapshot — a
-  // concurrent ApplyTrafficBatch waits on the global lock and can never
-  // tear the batch. batch_mu_ keeps the persistent worker state
-  // single-batch-at-a-time, and is taken BEFORE the pin so queued batches
-  // wait outside the snapshot section — a waiting traffic writer then
-  // drains at most one in-flight batch, not the whole queue.
-  MutexLock batch_guard(batch_mu_);
-  {
-    EpochCoordinator::ReadPin pin(*epochs_);
-    WallTimer timer;
-    const uint64_t epoch = pin.epoch();
-    batch.epoch = epoch;
-    if (arena_epoch_ != epoch) {
-      // Weights moved since the arenas were last warm: weight-derived
-      // solver caches must not survive into this snapshot. (The per-shard
-      // partial caches flush themselves per shard, inside the provider.)
-      for (BatchWorker& worker : batch_workers_) worker.arena.OnSnapshotChange();
-      arena_epoch_ = epoch;
-    }
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(&pin);
-    // The pool threads do not hold batch_mu_ — they are handed disjoint
-    // worker slots while this thread keeps the whole batch section locked,
-    // which the analysis cannot see through the lambda. The raw pointer is
-    // the deliberate escape hatch.
-    BatchWorker* const pool_workers = batch_workers_.data();
-    // Chunks large enough to amortise claiming, small enough to balance the
-    // (highly skewed) per-query solve costs across workers.
-    size_t chunk = std::max<size_t>(
-        1, work.size() / (4 * size_t{batch_pool_->num_threads()}));
-    batch_pool_->ParallelFor(
-        work.size(), chunk, [&](unsigned worker_id, size_t j) {
-          Prepared& p = work[j];
-          BatchWorker& worker = pool_workers[worker_id];
-          SolverInput input;
-          input.graph = &graph_;
-          input.dtlp = dtlp_.get();
-          input.partials = worker.provider.get();
-          input.cands = cands_.get();
-          input.source = requests[p.index].source;
-          input.target = requests[p.index].target;
-          // Each item runs exactly once, so its merged options move
-          // through the input and into the response.
-          input.options = std::move(p.route.merged);
-          worker.provider->BeginQuery();
-          // Backends that route refine work through the provider get their
-          // cross-query reuse from the per-shard caches (which flush per
-          // shard); handing them a merged scratch cache on top would hide
-          // requests from the shard layer. Everyone else pools scratch
-          // exactly as in the unsharded batch path.
-          SolverScratch* scratch = p.route.solver->UsesPartialProvider()
-                                       ? nullptr
-                                       : worker.arena.Get(p.route.solver);
-          RouteBatchItem& item = batch.items[p.index];
-          WallTimer solve_timer;
-          Result<KspQueryResult> solved =
-              p.route.solver->Solve(input, scratch);
-          if (!solved.ok()) {
-            item.status = solved.status();
-            return;
-          }
-          item.response = FinishRouteResponse(
-              p.route.kind, p.route.requested_k, std::move(input.options),
-              graph_.directed(), std::move(solved).value());
-          item.response.stats.solve_micros = solve_timer.ElapsedMicros();
-          item.response.epoch = epoch;
-          size_t touched = worker.provider->ShardsTouched();
-          if (touched == 1) {
-            single_shard_queries_.Increment();
-          } else if (touched > 1) {
-            cross_shard_queries_.Increment();
-          }
-          svc_metrics_.RecordQuery(p.route.kind, item.response.backend,
-                                   item.response.stats.solve_micros);
-        });
-    // The pin dies with this scope; unbind so a stale pointer can never be
-    // dereferenced by a later mis-sequenced call.
-    for (BatchWorker& worker : batch_workers_) worker.provider->BindPin(nullptr);
-    batch.batch_micros = timer.ElapsedMicros();
-  }
-
-  // Accepted items were recorded per solve (kind/backend/latency); the
-  // admission classification and the rejection/shed totals settle here.
-  svc_metrics_.FinalizeBatchAdmission(batch);
-  return batch;
-}
-
-BatchTicket ShardedRoutingService::SubmitBatch(
-    std::vector<RouteRequest> requests, BatchCallback callback) const {
-  MarkServing();
-  return BatchTicket::SubmitTo(*submit_queue_, *this, std::move(requests),
-                               std::move(callback),
-                               svc_metrics_.admission_view());
-}
-
-Result<TrafficBatchResult> ShardedRoutingService::ApplyTrafficBatch(
+TrafficBatchResult ShardedRoutingService::ApplyBatch(
     std::span<const WeightUpdate> updates) {
-  // Validate before taking any lock: a rejected batch must leave every
-  // shard's snapshot untouched (mirrors RoutingService exactly).
-  for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph_.NumEdges()) {
-      return Status::InvalidArgument(
-          "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph_.NumEdges()) +
-          " edges)");
-    }
-    if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-      return Status::InvalidArgument("updated weights must be positive");
-    }
+  // Each shard applies the slices of the subgraphs it owns, ascending.
+  const std::vector<SubgraphUpdates> groups =
+      GroupUpdatesBySubgraph(dtlp_->partition(), updates);
+  std::vector<std::vector<const SubgraphUpdates*>> groups_of_shard(
+      shards_.size());
+  TrafficBatchResult result;
+  for (const SubgraphUpdates& group : groups) {
+    groups_of_shard[assignment_.shard_of_subgraph[group.sgid]].push_back(
+        &group);
+    result.dtlp.updates_applied += group.updates.size();
   }
-
-  // Group updates by owning subgraph (every edge has exactly one owner).
-  // Per-subgraph lists preserve the batch's relative order, so repeated
-  // updates to one edge resolve identically to the unsharded service.
-  const Partition& partition = dtlp_->partition();
-  std::vector<std::vector<WeightUpdate>> per_subgraph(dtlp_->NumSubgraphs());
-  std::vector<SubgraphId> touched;
-  for (const WeightUpdate& update : updates) {
-    SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-    if (sgid == kInvalidSubgraph) continue;
-    if (per_subgraph[sgid].empty()) touched.push_back(sgid);
-    per_subgraph[sgid].push_back(update);
-  }
-  std::vector<std::vector<SubgraphId>> touched_of_shard(shards_.size());
-  for (SubgraphId sgid : touched) {
-    touched_of_shard[assignment_.shard_of_subgraph[sgid]].push_back(sgid);
-  }
-  for (std::vector<SubgraphId>& list : touched_of_shard) {
-    std::sort(list.begin(), list.end());
-  }
+  result.dtlp.subgraphs_touched = groups.size();
 
   // Exclusive snapshot section: drain every read pin, then move all shards
   // and the master state to the next global epoch together — the write half
@@ -577,32 +103,27 @@ Result<TrafficBatchResult> ShardedRoutingService::ApplyTrafficBatch(
   // Shard fan-out: each shard applies its slice of Algorithm 2 under its
   // own writer lock and publishes the new epoch — the in-process analogue
   // of the paper's per-server update application.
-  std::atomic<size_t> applied_total{0};
   std::vector<std::vector<SubgraphId>> refreshed_of_shard(shards_.size());
   apply_pool_->ParallelFor(
       shards_.size(), /*chunk=*/1, [&](unsigned, size_t si) {
         EpochWriterLock shard_lock(epochs_->shard_lock(si));
-        size_t applied = 0;
-        for (SubgraphId sgid : touched_of_shard[si]) {
-          dtlp_->ApplyUpdatesToSubgraph(sgid, per_subgraph[sgid]);
-          applied += per_subgraph[sgid].size();
-          if (dtlp_->RefreshSubgraph(sgid)) {
-            refreshed_of_shard[si].push_back(sgid);
+        for (const SubgraphUpdates* group : groups_of_shard[si]) {
+          dtlp_->ApplyUpdatesToSubgraph(group->sgid, group->updates);
+          if (dtlp_->RefreshSubgraph(group->sgid)) {
+            refreshed_of_shard[si].push_back(group->sgid);
           }
         }
-        if (!touched_of_shard[si].empty()) {
+        if (!groups_of_shard[si].empty()) {
           // The slice changed: invalidate this shard's cached partials.
           // Untouched shards keep their stamp, so their caches stay warm
           // across this batch.
-          shards_[si]->weights_epoch.store(epoch, std::memory_order_release);
+          routing_->MarkShardWritten(static_cast<ShardId>(si), epoch);
         }
-        applied_total.fetch_add(applied, std::memory_order_relaxed);
         epochs_->PublishShard(si, epoch);
       });
 
   // Master: refresh the skeleton from the shards whose bounds changed, in
   // ascending subgraph order for determinism, then commit the epoch.
-  TrafficBatchResult result;
   std::vector<SubgraphId> refreshed;
   for (const std::vector<SubgraphId>& list : refreshed_of_shard) {
     refreshed.insert(refreshed.end(), list.begin(), list.end());
@@ -612,54 +133,24 @@ Result<TrafficBatchResult> ShardedRoutingService::ApplyTrafficBatch(
     dtlp_->PushSubgraphBoundsToSkeleton(sgid);
     result.dtlp.skeleton_pairs_refreshed += dtlp_->index(sgid).pairs().size();
   }
-  if (cands_ != nullptr) {
-    // CANDS maintenance runs on the coordinator (the index is master-owned
-    // like the flat weights), still inside the exclusive window so sharded
-    // and unsharded services stay answer-identical batch for batch.
-    WallTimer cands_timer;
-    result.cands = cands_->ApplyUpdates(updates);
-    result.cands_micros = cands_timer.ElapsedMicros();
-  }
+  MaintainCands(updates, &result);
   epochs_->Commit(epoch);
-
   result.epoch = epoch;
-  result.dtlp.updates_applied = applied_total.load(std::memory_order_relaxed);
-  result.dtlp.subgraphs_touched = touched.size();
-  svc_metrics_.RecordTrafficBatch(updates.size());
   return result;
-}
-
-ShardedServiceCounters ShardedRoutingService::counters() const {
-  ShardedServiceCounters counters;
-  counters.base.queries_ok = svc_metrics_.queries_ok.value();
-  counters.base.queries_rejected = svc_metrics_.queries_rejected.value();
-  counters.base.batches_applied = svc_metrics_.traffic_batches.value();
-  counters.base.updates_applied = svc_metrics_.weight_updates.value();
-  counters.single_shard_queries = single_shard_queries_.value();
-  counters.cross_shard_queries = cross_shard_queries_.value();
-  counters.direct_partial_requests = direct_partials_.value();
-  counters.scattered_partial_requests = scattered_partials_.value();
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    counters.partial_cache_hits += shard->cache_hits.value();
-    counters.partial_cache_skips += shard->cache_skips.value();
-    counters.partial_cache_flushes += shard->cache_flushes.value();
-  }
-  return counters;
 }
 
 std::vector<ShardInfo> ShardedRoutingService::ShardInfos() const {
   std::vector<ShardInfo> infos;
   infos.reserve(shards_.size());
   for (ShardId shard = 0; shard < shards_.size(); ++shard) {
-    const Shard& s = *shards_[shard];
     ShardInfo info;
     info.shard = shard;
-    info.subgraphs = s.subgraphs.size();
+    info.subgraphs = assignment_.subgraphs_of_shard[shard].size();
     info.vertices = assignment_.vertices_of_shard[shard];
     info.epoch = epochs_->shard(shard);
-    info.partial_requests = s.partial_requests.value();
-    info.yen_runs = s.yen_runs.value();
-    info.partial_cache_hits = s.cache_hits.value();
+    info.partial_requests = shards_[shard].partial_requests.value();
+    info.yen_runs = shards_[shard].yen_runs.value();
+    info.partial_cache_hits = routing_->cache_hits(shard);
     infos.push_back(info);
   }
   return infos;

@@ -1,79 +1,45 @@
-// ShardedRoutingService: the RoutingService contract served by N
-// partition-aligned shards — the in-process prototype of the paper's
-// distributed deployment (one JVM worker per subgraph set in its Storm
-// topology, §4).
+// ShardedRoutingService: the in-process sharded deployment of the serving
+// core — the prototype of the paper's distributed deployment (one JVM
+// worker per subgraph set in its Storm topology, §4).
 //
 // The subgraphs of the DTLP partition are distributed over the shards
 // (partition/shard_assignment.h); each shard owns its slice of mutable DTLP
-// state — the subgraph weight copies and level-1 EP-indexes. The
-// EpochCoordinator (core/epoch_coordinator.h) owns the complete locking
-// protocol: the global snapshot lock, one lock per shard, and the epoch
-// advance; every read path pins the multi-shard snapshot through one
-// EpochCoordinator::ReadPin.
+// state — the subgraph weight copies and level-1 EP-indexes. The query
+// surface is the ServingCore's (api/serving_core.h); this deployment
+// supplies the two pieces that depend on the shards:
 //
-//   Query / QueryBatch
-//                   ReadPin (global shared lock) freezes every shard at the
-//                   committed epoch; KSP-DG boundary-pair partials are
-//                   routed to the owning shard (single-shard requests go
-//                   directly to that shard, cross-shard requests
-//                   scatter/gather across all owners) through the
-//                   PartialProvider seam — the future RPC boundary.
-//                   QueryBatch executes on the service pool; each worker
-//                   keeps per-(shard, worker) partial caches so a shard's
-//                   slice of refine work is reused across the batch and
-//                   flushed when that shard's epoch bumps.
-//   SubmitBatch     async QueryBatch: bounded submission queue + ticket,
-//                   so callers overlap request production with solving.
+//   partials        a ShardRoutedProvider (shard/shard_routed_provider.h)
+//                   that computes each shard's partial lists inline under
+//                   that shard's read lock, taken through the core's
+//                   EpochCoordinator::ReadPin. Batch workers keep
+//                   per-(shard, worker) caches, flushed when that shard's
+//                   weights change.
 //   ApplyTrafficBatch
 //                   global exclusive lock (drains every pin), then the
 //                   batch fans out per shard in parallel: each shard takes
 //                   its own writer lock, applies its slice of Algorithm 2,
-//                   and publishes the new epoch to the EpochCoordinator; the
-//                   coordinator refreshes the skeleton and commits ONE
-//                   global epoch, so responses still name a single
-//                   consistent snapshot.
-//
-// The shard boundary here is the future process boundary: replacing the
-// in-process scatter/gather with RPC (and the per-shard lock with a
-// per-worker one) yields the distributed-workers deployment without
-// touching the algorithm layers.
+//                   and publishes the new epoch; the coordinator refreshes
+//                   the skeleton and commits ONE global epoch, so responses
+//                   still name a single consistent snapshot.
 #ifndef KSPDG_SHARD_SHARDED_ROUTING_SERVICE_H_
 #define KSPDG_SHARD_SHARDED_ROUTING_SERVICE_H_
 
-#include <atomic>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "api/batch_ticket.h"
-#include "api/ksp_solver.h"
-#include "api/routing_options.h"
-#include "api/routing_service.h"
-#include "api/routing_service_interface.h"
-#include "api/service_metrics.h"
-#include "core/epoch_coordinator.h"
-#include "core/epoch_lock.h"
-#include "core/mutex.h"
+#include "api/serving_core.h"
 #include "core/status.h"
-#include "core/submission_queue.h"
-#include "core/thread_annotations.h"
 #include "core/thread_pool.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "partition/shard_assignment.h"
+#include "shard/shard_routed_provider.h"
 
 namespace kspdg {
 
-struct ShardedRoutingServiceOptions {
-  /// Service-wide defaults; any field can be overridden per request.
-  RoutingOptions defaults;
-  /// DTLP construction knobs (partition size z, level-1 ξ, build threads).
-  DtlpOptions dtlp;
-  /// Build and maintain the CANDS baseline index (see
-  /// RoutingServiceOptions::enable_cands — identical contract; the index is
-  /// coordinator-owned, not sharded, like the flat weights).
-  bool enable_cands = true;
+struct ShardedRoutingServiceOptions : ServingOptions {
   /// Number of shards the subgraph set is distributed over (>= 1; shards
   /// beyond the subgraph count own nothing). 1 degenerates to the unsharded
   /// topology while keeping the scatter/gather code path live.
@@ -81,17 +47,6 @@ struct ShardedRoutingServiceOptions {
   /// Threads fanning one ApplyTrafficBatch across shards (0 = one per
   /// shard, capped at the hardware thread count; 1 = sequential fan-out).
   unsigned apply_threads = 0;
-  /// Threads answering one QueryBatch (0 = one per hardware thread, capped
-  /// at 16; 1 = batches execute inline on the caller).
-  unsigned batch_threads = 0;
-  /// Batches the async SubmitBatch queue buffers before admission engages:
-  /// no-envelope submits block (backpressure), QoS submits shed or displace
-  /// queued batch-class work (0 is treated as 1).
-  size_t submit_queue_capacity = 8;
-  /// Max pending SubmitBatch envelopes one tenant_id may hold at once;
-  /// over-quota QoS submits are shed with kResourceExhausted instead of
-  /// blocking (0 = unlimited, tenants with an empty id are unmetered).
-  size_t per_tenant_quota = 0;
 };
 
 /// Point-in-time view of one shard, for monitoring and the bench "shard"
@@ -112,107 +67,23 @@ struct ShardInfo {
   uint64_t partial_cache_hits = 0;
 };
 
-/// Monitoring counters of a sharded service (snapshot, not transactional).
-/// Query/update totals match ServiceCounters; the shard-specific counters
-/// split the KSP-DG partial traffic by how it was routed.
-struct ShardedServiceCounters {
-  ServiceCounters base;
-  /// KSP-DG queries whose partial requests were all served by one shard
-  /// (routed directly to the owning shard).
-  uint64_t single_shard_queries = 0;
-  /// KSP-DG queries whose partials were gathered from >= 2 shards.
-  uint64_t cross_shard_queries = 0;
-  /// Boundary-pair requests owned entirely by one shard (direct dispatch).
-  uint64_t direct_partial_requests = 0;
-  /// Boundary-pair requests spanning shards (scatter/gather dispatch).
-  uint64_t scattered_partial_requests = 0;
-  /// Per-shard partial-list computations avoided by the per-(shard, worker)
-  /// batch caches (summed over shards).
-  uint64_t partial_cache_hits = 0;
-  /// Fresh computations NOT memoised because the cache already held
-  /// RoutingOptions::partial_cache_pairs distinct pairs (or caching is
-  /// disabled with a cap of 0).
-  uint64_t partial_cache_skips = 0;
-  /// Times a non-empty per-(shard, worker) cache was dropped because its
-  /// shard's weights moved to a new epoch.
-  uint64_t partial_cache_flushes = 0;
-};
-
-class ShardedRoutingService : public RoutingServiceInterface {
+class ShardedRoutingService : public ServingCore {
  public:
   /// Takes ownership of `graph`, builds the DTLP (Algorithm 1), and
   /// distributes its subgraphs over `options.num_shards` shards. Fails if
   /// the defaults are invalid, the partitioner rejects the graph, or
-  /// num_shards == 0.
+  /// num_shards == 0. Answers are identical to a RoutingService over the
+  /// same graph and traffic (the sharding is invisible in the answer).
   static Result<std::unique_ptr<ShardedRoutingService>> Create(
       Graph graph, ShardedRoutingServiceOptions options = {});
 
-  ShardedRoutingService(const ShardedRoutingService&) = delete;
-  ShardedRoutingService& operator=(const ShardedRoutingService&) = delete;
-
   /// Drains the async submission queue (accepted batches complete) before
-  /// tearing anything down.
+  /// the shards are torn down.
   ~ShardedRoutingService() override;
 
-  /// Answers q(source, target) — any QueryKind — on the current global
-  /// snapshot. Identical results to RoutingService::Query over the same
-  /// graph and weights (the sharding is invisible in the answer).
-  /// Thread-safe; runs concurrently with other queries and serialises
-  /// against ApplyTrafficBatch.
-  Result<RouteResponse> Query(const RouteRequest& request) const override;
-
-  /// Answers a whole batch of queries on ONE multi-shard snapshot: requests
-  /// are validated up front, the coordinator's read pin is taken once, and
-  /// the valid requests are grouped by backend and executed on the service
-  /// pool. Each worker keeps a persistent arena of solver scratch plus
-  /// per-(shard, worker) partial caches, so KSP-DG refine work within one
-  /// shard's slice is computed once per batch neighbourhood and flushed
-  /// when that shard's epoch bumps. Answers are byte-identical to issuing
-  /// the requests sequentially against an unsharded service. Invalid
-  /// requests receive per-item statuses without failing the batch.
-  /// Thread-safe.
-  Result<RouteBatchResponse> QueryBatch(
-      std::span<const RouteRequest> requests) const override;
-
-  /// Asynchronous QueryBatch: enqueues the batch on the service's bounded
-  /// submission queue and returns a ticket immediately (see
-  /// RoutingService::SubmitBatch — identical contract).
-  [[nodiscard]] BatchTicket SubmitBatch(std::vector<RouteRequest> requests,
-                          BatchCallback callback = nullptr) const override;
-
-  /// Applies one batch of weight updates atomically across every shard: the
-  /// flat weights, each shard's subgraph copies (fanned out in parallel,
-  /// one writer lock per shard), and the skeleton move to the next global
-  /// epoch together. Validated up front and rejected as a whole on any bad
-  /// entry. Thread-safe.
-  Result<TrafficBatchResult> ApplyTrafficBatch(
-      std::span<const WeightUpdate> updates) override;
-
-  /// Adds a custom backend. Must be called before serving traffic — the
-  /// registry reads on the query path take no lock, so registration was
-  /// never safe against in-flight queries. Once the first
-  /// Query/QueryBatch/SubmitBatch has been accepted the registry is frozen
-  /// and registration fails with kFailedPrecondition. (Best-effort
-  /// enforcement of that lifecycle: it rejects any registration that
-  /// happens-after an observed query; truly concurrent first-query vs
-  /// registration remains the caller's setup bug to avoid.)
-  Status RegisterSolver(std::unique_ptr<KspSolver> solver);
-
-  /// Committed global epoch (0 until the first batch). All shards sit at
-  /// this epoch whenever no ApplyTrafficBatch is in flight.
-  uint64_t CurrentEpoch() const override { return epochs_->global(); }
-
-  /// Registered backend names, sorted.
-  std::vector<std::string> BackendNames() const override {
-    return registry_.Names();
+  ShardedServiceCounters counters() const {
+    return routing_->Counters(BaseCounters());
   }
-
-  /// Consistent scrape of the service's registry: query totals by kind and
-  /// backend, per-shard partial-cache traffic, routing split, epoch gauges.
-  /// Never blocks queries or updates.
-  MetricsSnapshot Metrics() const override { return metrics_.Snapshot(); }
-
-  ShardedServiceCounters counters() const;
 
   /// Per-shard ownership and traffic snapshot, indexed by ShardId.
   std::vector<ShardInfo> ShardInfos() const;
@@ -220,121 +91,35 @@ class ShardedRoutingService : public RoutingServiceInterface {
   uint32_t num_shards() const { return assignment_.num_shards; }
   const ShardAssignment& assignment() const { return assignment_; }
 
-  /// Read-only views for tooling; all writes must go through
-  /// ApplyTrafficBatch.
-  const Graph& graph() const { return graph_; }
-  const Dtlp& dtlp() const { return *dtlp_; }
-  /// nullptr when created with enable_cands = false.
-  const CandsIndex* cands() const { return cands_.get(); }
-  const RoutingOptions& defaults() const { return options_.defaults; }
-
  private:
-  /// One shard: a slice of subgraph ids plus the traffic counters for the
-  /// DTLP state they denote. The subgraph/index storage itself stays inside
-  /// the shared Dtlp (per-subgraph operations are thread-safe across
-  /// distinct subgraphs); the shard's lock — owned by the EpochCoordinator —
-  /// serialises readers of this slice against its apply fan-out worker.
+  /// One shard's fresh-computation telemetry, labelled {shard="<id>"}. The
+  /// subgraph/index storage itself stays inside the shared Dtlp
+  /// (per-subgraph operations are thread-safe across distinct subgraphs);
+  /// the shard's lock — owned by the EpochCoordinator — serialises readers
+  /// of its slice against its apply fan-out worker.
   struct Shard {
-    std::vector<SubgraphId> subgraphs;
-    /// Epoch at which this shard's slice (subgraph weight copies) last
-    /// actually changed — NOT the published epoch, which advances on every
-    /// traffic batch. Cached partials derive only from the slice, so the
-    /// per-(shard, worker) caches flush against this stamp: a batch that
-    /// never touched this shard leaves its cached partials warm and valid.
-    std::atomic<uint64_t> weights_epoch{0};
-    /// Registry handles labelled {shard="<id>"}, wired at Create — the
-    /// single source of truth behind ShardInfo and the counters() view.
     Counter partial_requests;
     Counter yen_runs;
-    Counter cache_hits;
-    Counter cache_skips;
-    Counter cache_flushes;
   };
 
-  class ShardPartialProvider;
-
-  /// Persistent state of one batch-pool worker: solver scratch (pooled Yen
-  /// ban buffers etc.) plus the partial provider whose per-shard caches
-  /// implement the per-(shard, worker) reuse contract. Guarded by
-  /// batch_mu_.
-  struct BatchWorker {
-    SolverScratchArena arena;
-    std::unique_ptr<ShardPartialProvider> provider;
-
-    // Out of line: ShardPartialProvider is incomplete here.
-    BatchWorker();
-    BatchWorker(BatchWorker&&) noexcept;
-    BatchWorker& operator=(BatchWorker&&) noexcept;
-    ~BatchWorker();
-  };
+  class InProcessProvider;
 
   ShardedRoutingService(Graph graph, ShardedRoutingServiceOptions options)
-      : graph_(std::move(graph)), options_(std::move(options)) {}
+      : ServingCore(std::move(graph), std::move(options)) {}
 
-  /// Delegates to PrepareRoutingQuery — the same preparation RoutingService
-  /// uses, so both services reject the same requests with the same codes.
-  Status PrepareQuery(const RouteRequest& request,
-                      PreparedRoute* prepared) const;
+  std::unique_ptr<ShardRoutedProvider> NewPartialProvider() const override;
 
-  /// Marks the registry frozen. Only the first accepted query writes the
-  /// flag, so the hot path stays read-only afterwards.
-  void MarkServing() const {
-    if (!serving_.load(std::memory_order_relaxed)) {
-      serving_.store(true, std::memory_order_release);
-    }
-  }
+  /// The per-shard fan-out (see file comment).
+  TrafficBatchResult ApplyBatch(
+      std::span<const WeightUpdate> updates) override;
 
-  Graph graph_;
-  ShardedRoutingServiceOptions options_;
-  /// Owns every metric cell the members below hold handles into. Declared
-  /// before them so it is destroyed LAST — in particular after
-  /// submit_queue_, whose destructor still drains batches that bump
-  /// counters.
-  MetricsRegistry metrics_;
-  std::unique_ptr<Dtlp> dtlp_;
-  /// Coordinator-owned CANDS baseline index (see RoutingService::cands_);
-  /// maintained under the global exclusive lock in ApplyTrafficBatch.
-  std::unique_ptr<CandsIndex> cands_;
-  SolverRegistry registry_;
-  /// Set by the first served query; freezes the registry (see
-  /// RegisterSolver).
-  mutable std::atomic<bool> serving_{false};
   ShardAssignment assignment_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Owns the global + per-shard locks and the epoch advance protocol; all
-  /// read paths pin the snapshot through EpochCoordinator::ReadPin.
-  std::unique_ptr<EpochCoordinator> epochs_;
+  std::vector<Shard> shards_;
+  std::unique_ptr<ShardRouting> routing_;
   /// Executes the per-shard ApplyTrafficBatch fan-out; owned so traffic
-  /// batches (the streaming hot path) reuse warm threads instead of paying
-  /// thread creation inside the exclusive-lock window.
+  /// batches reuse warm threads instead of paying thread creation inside
+  /// the exclusive-lock window.
   std::unique_ptr<ThreadPool> apply_pool_;
-  /// Executes QueryBatch work items (separate from apply_pool_: one runs
-  /// under the global shared lock, the other under the exclusive lock).
-  std::unique_ptr<ThreadPool> batch_pool_;
-
-  /// Serialises the parallel section of concurrent QueryBatch calls and
-  /// guards the persistent worker state below (the pool would serialise
-  /// them anyway). Taken BEFORE the read pin so queued batches wait outside
-  /// the snapshot section.
-  mutable Mutex batch_mu_{"ShardedRoutingService::batch_mu_"};
-  mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);
-  /// Global epoch the worker arenas were last used at; a mismatch triggers
-  /// SolverScratch::OnSnapshotChange() before the batch runs. The per-shard
-  /// partial caches flush themselves per shard, against that shard's epoch.
-  mutable uint64_t arena_epoch_ GUARDED_BY(batch_mu_) = 0;
-
-  /// Query/update handles into metrics_ (shared bundle; the counters()
-  /// view reads these).
-  ServiceMetrics svc_metrics_;
-  Counter single_shard_queries_;
-  Counter cross_shard_queries_;
-  Counter direct_partials_;
-  Counter scattered_partials_;
-
-  /// Async SubmitBatch queue. Declared last so it is destroyed FIRST:
-  /// destruction drains the accepted batches, which still run QueryBatch
-  /// against the members above.
-  std::unique_ptr<SubmissionQueue> submit_queue_;
 };
 
 }  // namespace kspdg

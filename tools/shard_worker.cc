@@ -28,7 +28,6 @@
 // interleave worker-side; cross-process ordering is the coordinator's
 // locking protocol. A worker whose coordinator disappears exits on the
 // accept idle timeout instead of lingering as an orphan.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -159,38 +158,25 @@ class WorkerState {
           " but the prepare names epoch " + std::to_string(request.epoch) +
           " (worker needs a reload + replay)");
     }
-    for (const WeightUpdate& update : request.updates) {
-      if (update.edge >= graph_->NumEdges()) {
-        return Status::InvalidArgument("prepare update edge out of range");
-      }
-      if (!(update.new_forward > 0) || !(update.new_backward > 0)) {
-        return Status::InvalidArgument("prepare weights must be positive");
-      }
-    }
+    // Input from outside the process: checked like any service batch.
+    KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(*graph_, request.updates));
 
-    // Identical application order to the in-process shard fan-out: group
-    // the batch per owned subgraph preserving batch order, then apply the
-    // touched subgraphs ascending.
-    const Partition& partition = dtlp_->partition();
-    std::vector<std::vector<WeightUpdate>> per_subgraph(
-        dtlp_->NumSubgraphs());
-    std::vector<SubgraphId> touched;
+    // Identical application order to the in-process shard fan-out: the
+    // batch grouped per subgraph preserving batch order, the owned
+    // subgraphs applied ascending.
     for (const WeightUpdate& update : request.updates) {
       graph_->SetWeight(update);  // keep the flat copy coherent
-      SubgraphId sgid = partition.subgraph_of_edge[update.edge];
-      if (sgid == kInvalidSubgraph || owned_[sgid] == 0) continue;
-      if (per_subgraph[sgid].empty()) touched.push_back(sgid);
-      per_subgraph[sgid].push_back(update);
     }
-    std::sort(touched.begin(), touched.end());
     EpochPrepareReply applied;
     applied.epoch = request.epoch;
-    for (SubgraphId sgid : touched) {
-      dtlp_->ApplyUpdatesToSubgraph(sgid, per_subgraph[sgid]);
-      dtlp_->RefreshSubgraph(sgid);
-      applied.updates_applied += per_subgraph[sgid].size();
+    for (const SubgraphUpdates& group :
+         GroupUpdatesBySubgraph(dtlp_->partition(), request.updates)) {
+      if (owned_[group.sgid] == 0) continue;
+      dtlp_->ApplyUpdatesToSubgraph(group.sgid, group.updates);
+      dtlp_->RefreshSubgraph(group.sgid);
+      applied.updates_applied += group.updates.size();
+      ++applied.subgraphs_touched;
     }
-    applied.subgraphs_touched = touched.size();
     epoch_ = request.epoch;
     epoch_prepares_.Increment();
     updates_applied_.Increment(applied.updates_applied);
