@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "core/epoch_lock.h"
-
 namespace kspdg {
 
 Result<std::unique_ptr<RoutingService>> RoutingService::Create(
@@ -11,18 +9,8 @@ Result<std::unique_ptr<RoutingService>> RoutingService::Create(
   std::unique_ptr<RoutingService> service(
       new RoutingService(std::move(graph), std::move(options)));
   KSPDG_RETURN_NOT_OK(service->BuildIndexes());
-  service->StartServing(/*num_shards=*/0);
+  service->StartServing();
   return service;
-}
-
-TrafficBatchResult RoutingService::ApplyBatch(
-    std::span<const WeightUpdate> updates) {
-  EpochWriterLock lock(epochs_->global_lock());
-  const uint64_t epoch = epochs_->BeginAdvance();
-  TrafficBatchResult result = ApplyToMaster(updates);
-  epochs_->Commit(epoch);
-  result.epoch = epoch;
-  return result;
 }
 
 }  // namespace kspdg

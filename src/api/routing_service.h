@@ -2,10 +2,10 @@
 //
 // One instance owns the dynamic graph, the DTLP index built over it, and the
 // registry of solver backends, and serves the paper's workload (§1, §5):
-// KSP queries streaming in *while* traffic updates stream in. Everything
-// but the apply path is the ServingCore (api/serving_core.h); this
-// deployment computes KSP-DG partials inline on the solving thread, and
-// applies a traffic batch as one step under the exclusive snapshot lock:
+// KSP queries streaming in *while* traffic updates stream in. All of it is
+// the ServingCore (api/serving_core.h) with its defaults: KSP-DG partials
+// are computed inline on the solving thread, and a traffic batch is the
+// master-copy apply (ApplyToMaster) under the exclusive snapshot lock:
 //
 //   Query / QueryBatch / SubmitBatch   shared lock — any number run
 //                                      concurrently; a batch takes it once
@@ -19,7 +19,6 @@
 #define KSPDG_API_ROUTING_SERVICE_H_
 
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "api/routing_service_interface.h"
@@ -45,10 +44,6 @@ class RoutingService : public ServingCore {
  private:
   RoutingService(Graph graph, RoutingServiceOptions options)
       : ServingCore(std::move(graph), std::move(options)) {}
-
-  /// Flat weights, Algorithm 2 and CANDS under the exclusive lock.
-  TrafficBatchResult ApplyBatch(
-      std::span<const WeightUpdate> updates) override;
 };
 
 }  // namespace kspdg

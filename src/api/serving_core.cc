@@ -26,8 +26,7 @@ Status ServingCore::BuildIndexes() {
   return Status::OK();
 }
 
-void ServingCore::StartServing(size_t num_shards) {
-  epochs_ = std::make_unique<EpochCoordinator>(num_shards);
+void ServingCore::StartServing() {
   pool_ = std::make_unique<ThreadPool>(
       DefaultBatchThreads(options_.batch_threads));
   {
@@ -42,20 +41,13 @@ void ServingCore::StartServing(size_t num_shards) {
   // resolved here, so serving pays one relaxed fetch_add per event and
   // never touches the registry mutex.
   svc_metrics_.Init(metrics_, registry_.Names());
-  epochs_->global_lock().InstrumentWriter(
+  snapshot_lock_.InstrumentWriter(
       metrics_.GetCounter("epoch_writer_drains_total"),
       metrics_.GetHistogram("epoch_writer_wait_micros", {},
                             LatencyBucketsMicros()));
-  metrics_.AddGaugeCallback("epoch", {}, [epochs = epochs_.get()] {
-    return static_cast<int64_t>(epochs->global());
+  metrics_.AddGaugeCallback("epoch", {}, [this] {
+    return static_cast<int64_t>(CurrentEpoch());
   });
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    metrics_.AddGaugeCallback(
-        "shard_epoch", {{"shard", std::to_string(shard)}},
-        [epochs = epochs_.get(), shard] {
-          return static_cast<int64_t>(epochs->shard(shard));
-        });
-  }
 
   SubmissionQueueMetrics queue_metrics;
   queue_metrics.enqueue_blocked_total =
@@ -110,8 +102,7 @@ Status ServingCore::Prepare(const RouteRequest& request,
 }
 
 Status ServingCore::Solve(const RouteRequest& request, PreparedRoute& route,
-                          const EpochCoordinator::ReadPin& pin,
-                          ShardRoutedProvider* provider,
+                          uint64_t epoch, ShardRoutedProvider* provider,
                           SolverScratch* scratch,
                           RouteResponse* response) const {
   SolverInput input;
@@ -122,7 +113,7 @@ Status ServingCore::Solve(const RouteRequest& request, PreparedRoute& route,
   input.source = request.source;
   input.target = request.target;
   input.options = std::move(route.merged);
-  if (provider != nullptr) provider->BeginQuery(pin);
+  if (provider != nullptr) provider->BeginQuery(epoch);
   WallTimer timer;
   Result<KspQueryResult> solved = route.solver->Solve(input, scratch);
   if (provider != nullptr) {
@@ -135,7 +126,7 @@ Status ServingCore::Solve(const RouteRequest& request, PreparedRoute& route,
                                   std::move(input.options), graph_.directed(),
                                   std::move(solved).value());
   response->stats.solve_micros = timer.ElapsedMicros();
-  response->epoch = pin.epoch();
+  response->epoch = epoch;
   svc_metrics_.RecordQuery(route.kind, response->backend,
                            response->stats.solve_micros);
   return Status::OK();
@@ -150,12 +141,12 @@ Result<RouteResponse> ServingCore::Query(const RouteRequest& request) const {
     // A single query gets a cold provider of its own; the batch workers'
     // warm ones are batch_mu_'s to hand out.
     std::unique_ptr<ShardRoutedProvider> provider = NewPartialProvider();
-    // Snapshot section: the pin freezes the weights, the DTLP and every
-    // shard's epoch for the whole solve (including the kDiverseKsp filter,
-    // a pure function of the candidate list).
-    EpochCoordinator::ReadPin pin(*epochs_);
-    status = Solve(request, route, pin, provider.get(), /*scratch=*/nullptr,
-                   &response);
+    // Snapshot section: the shared hold freezes the weights, the DTLP and
+    // every shard's slice for the whole solve (including the kDiverseKsp
+    // filter, a pure function of the candidate list).
+    EpochReaderLock pin(snapshot_lock_);
+    status = Solve(request, route, CurrentEpoch(), provider.get(),
+                   /*scratch=*/nullptr, &response);
   }
   if (!status.ok()) {
     svc_metrics_.RecordQueryFailure(status);
@@ -196,14 +187,14 @@ Result<RouteBatchResponse> ServingCore::QueryBatch(
                      return a.route.solver->name() < b.route.solver->name();
                    });
 
-  // Phase 3 (snapshot section): ONE read pin covers every solve, so the
+  // Phase 3 (snapshot section): ONE shared hold covers every solve, so the
   // whole batch is answered at a single epoch; a concurrent traffic batch
-  // waits on the global lock and can never tear it.
+  // waits on the snapshot lock and can never tear it.
   MutexLock batch_guard(batch_mu_);
   {
-    EpochCoordinator::ReadPin pin(*epochs_);
+    EpochReaderLock pin(snapshot_lock_);
     WallTimer timer;
-    batch.epoch = pin.epoch();
+    batch.epoch = CurrentEpoch();
     if (arena_epoch_ != batch.epoch) {
       // Weights moved since the arenas were last warm: weight-derived
       // solver caches must not survive into this snapshot.
@@ -234,8 +225,8 @@ Result<RouteBatchResponse> ServingCore::QueryBatch(
               ? nullptr
               : worker.arena.Get(p.route.solver);
       RouteBatchItem& item = batch.items[p.index];
-      item.status = Solve(requests[p.index], p.route, pin, provider, scratch,
-                          &item.response);
+      item.status = Solve(requests[p.index], p.route, batch.epoch, provider,
+                          scratch, &item.response);
     });
     batch.batch_micros = timer.ElapsedMicros();
   }
@@ -265,7 +256,16 @@ Result<TrafficBatchResult> ServingCore::ApplyTrafficBatch(
   // Validate before any lock: a rejected batch must leave the snapshot
   // untouched (and NumEdges is immutable, so no lock is needed).
   KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(graph_, updates));
-  TrafficBatchResult result = ApplyBatch(updates);
+  TrafficBatchResult result;
+  {
+    // Exclusive snapshot section: drain every reader, move the whole
+    // deployment to the next epoch, and publish it before releasing.
+    EpochWriterLock lock(snapshot_lock_);
+    const uint64_t epoch = epoch_.load(std::memory_order_relaxed) + 1;
+    result = ApplyBatch(updates, epoch);
+    result.epoch = epoch;
+    epoch_.store(epoch, std::memory_order_release);
+  }
   svc_metrics_.RecordTrafficBatch(updates.size());
   return result;
 }

@@ -10,14 +10,15 @@
 //   state     the dynamic graph, the DTLP (Algorithm 1) and the CANDS
 //             baseline index, the solver registry with its
 //             freeze-on-first-query flag, the metrics registry and its
-//             ServiceMetrics, the EpochCoordinator, the batch pool with one
-//             {SolverScratchArena, partial provider} per worker, and the
-//             admission-controlled SubmissionQueue;
+//             ServiceMetrics, the snapshot lock and the committed epoch, the
+//             batch pool with one {SolverScratchArena, partial provider} per
+//             worker, and the admission-controlled SubmissionQueue;
 //   queries   Query / QueryBatch / SubmitBatch: prepare -> pin -> solve ->
 //             provider-error check -> finish -> record, every response
 //             naming the one epoch it was answered at;
-//   updates   ApplyTrafficBatch validates the batch, hands it to the
-//             deployment, and records the traffic totals.
+//   updates   ApplyTrafficBatch validates the batch, takes the snapshot
+//             lock exclusively, hands the batch to the deployment, publishes
+//             the next epoch, and records the traffic totals.
 //
 // A deployment derives from the core and supplies:
 //
@@ -26,15 +27,18 @@
 //                        ShardRoutedProvider routes them to the owning
 //                        shards (ShardedRoutingService) or to the workers'
 //                        replicas over RPC (RemoteShardedRoutingService).
-//   ApplyBatch           moves the deployment's state to the next epoch
-//                        under the coordinator's write protocol.
+//   ApplyBatch           moves the deployment's state to the next epoch;
+//                        the inline default is ApplyToMaster.
 //
-// Concurrency: every read path pins the snapshot through one
-// EpochCoordinator::ReadPin — for the inline deployment a coordinator over
-// zero shards, whose pin is exactly one shared lock — so queries run
-// concurrently with each other and serialise against ApplyBatch, which
-// holds the global lock exclusively (write-preferring, so traffic batches
-// cannot starve).
+// Concurrency: one write-preferring EpochLock guards the whole snapshot —
+// the master state and, in the sharded deployments, every shard's slice. A
+// traffic batch moves all of it to the next epoch in one step (the paper's
+// §4), so a read path holds the lock shared once (a whole QueryBatch
+// included) and reads the one committed epoch under it; ApplyTrafficBatch
+// holds it exclusively around the deployment's ApplyBatch and publishes the
+// epoch before releasing it. Queries therefore run concurrently with each
+// other and never observe a half-applied batch, and traffic batches cannot
+// starve under query churn.
 //
 // Destruction: the SubmissionQueue drains accepted batches when it is
 // destroyed, and those batches solve through the deployment's providers.
@@ -56,7 +60,7 @@
 #include "api/routing_service_interface.h"
 #include "api/service_metrics.h"
 #include "cands/cands.h"
-#include "core/epoch_coordinator.h"
+#include "core/epoch_lock.h"
 #include "core/mutex.h"
 #include "core/status.h"
 #include "core/submission_queue.h"
@@ -108,12 +112,12 @@ class ServingCore : public RoutingServiceInterface {
   Result<RouteResponse> Query(const RouteRequest& request) const final;
 
   /// Answers a whole batch of queries on ONE snapshot: requests are
-  /// validated up front, the read pin is taken once, and the valid requests
-  /// are grouped by backend and executed on the service's thread pool. Each
-  /// worker keeps a persistent arena of solver scratch plus its own partial
-  /// provider, so caches stay warm across batches until the weights they
-  /// derive from move. Invalid requests receive per-item statuses without
-  /// failing the batch. Thread-safe.
+  /// validated up front, the snapshot lock is held shared once, and the
+  /// valid requests are grouped by backend and executed on the service's
+  /// thread pool. Each worker keeps a persistent arena of solver scratch
+  /// plus its own partial provider, so caches stay warm across batches
+  /// until the weights they derive from move. Invalid requests receive
+  /// per-item statuses without failing the batch. Thread-safe.
   Result<RouteBatchResponse> QueryBatch(
       std::span<const RouteRequest> requests) const final;
 
@@ -143,7 +147,9 @@ class ServingCore : public RoutingServiceInterface {
   Status RegisterSolver(std::unique_ptr<KspSolver> solver);
 
   /// Committed epoch (0 until the first batch).
-  uint64_t CurrentEpoch() const final { return epochs_->global(); }
+  uint64_t CurrentEpoch() const final {
+    return epoch_.load(std::memory_order_acquire);
+  }
 
   /// Registered backend names, sorted.
   std::vector<std::string> BackendNames() const final {
@@ -172,10 +178,9 @@ class ServingCore : public RoutingServiceInterface {
   Status BuildIndexes();
 
   /// Last step of every Create, once the deployment's own state exists:
-  /// an EpochCoordinator over `num_shards` shards, the batch pool with one
-  /// NewPartialProvider() per worker, the metric wiring, and the
-  /// submission queue.
-  void StartServing(size_t num_shards);
+  /// the batch pool with one NewPartialProvider() per worker, the metric
+  /// wiring, and the submission queue.
+  void StartServing();
 
   /// Drains accepted SubmitBatch work; see the file comment.
   void DrainSubmissions() { submit_queue_.reset(); }
@@ -186,29 +191,33 @@ class ServingCore : public RoutingServiceInterface {
     return nullptr;
   }
 
-  /// Moves the deployment to the next epoch with the (validated) `updates`
-  /// applied: takes epochs_->global_lock() exclusively, BeginAdvance,
-  /// publishes every shard, Commit. Returns the maintenance result.
-  virtual TrafficBatchResult ApplyBatch(
-      std::span<const WeightUpdate> updates) = 0;
+  /// Moves the deployment's state to the given epoch (CurrentEpoch() + 1)
+  /// with the validated `updates` applied, and returns the maintenance
+  /// result; the core publishes the epoch once it returns. The default is
+  /// ApplyToMaster.
+  virtual TrafficBatchResult ApplyBatch(std::span<const WeightUpdate> updates,
+                                        uint64_t /*epoch*/)
+      REQUIRES(snapshot_lock_) {
+    return ApplyToMaster(updates);
+  }
 
   /// The master-copy apply of a deployment whose coordinator keeps the
-  /// whole DTLP: flat weights, Algorithm 2, then CANDS maintenance. Caller
-  /// holds the global lock exclusively.
-  TrafficBatchResult ApplyToMaster(std::span<const WeightUpdate> updates);
+  /// whole DTLP: flat weights, Algorithm 2, then CANDS maintenance.
+  TrafficBatchResult ApplyToMaster(std::span<const WeightUpdate> updates)
+      REQUIRES(snapshot_lock_);
 
   /// CANDS maintenance of one batch: every touched subgraph's exact
   /// boundary-pair shortest paths are recomputed, deliberately inside the
   /// exclusive window so the bench measures the paper's
   /// rebuild-vs-incremental contrast on the same serving path. No-op when
-  /// CANDS is disabled. Caller holds the global lock exclusively.
+  /// CANDS is disabled.
   void MaintainCands(std::span<const WeightUpdate> updates,
-                     TrafficBatchResult* result);
+                     TrafficBatchResult* result) REQUIRES(snapshot_lock_);
 
   ServiceCounters BaseCounters() const { return svc_metrics_.Counters(); }
 
   // State the deployments' apply paths write — only under the exclusive
-  // global lock — and wire their own telemetry into.
+  // snapshot lock — and wire their own telemetry into.
   Graph graph_;
   /// Owns every metric cell the members below (and the deployments' state)
   /// hold handles into; declared before them so it outlives them.
@@ -217,8 +226,9 @@ class ServingCore : public RoutingServiceInterface {
   /// The CANDS baseline index behind the "cands" backend. Null when
   /// enable_cands is false.
   std::unique_ptr<CandsIndex> cands_;
-  /// Owns the global + per-shard locks and the epoch advance protocol.
-  std::unique_ptr<EpochCoordinator> epochs_;
+  /// The one reader/writer boundary of the snapshot (see file comment).
+  /// Mutable so the const query paths can pin it.
+  mutable EpochLock snapshot_lock_{"ServingCore::snapshot_lock_"};
 
  private:
   /// Persistent state of one batch-pool worker: solver scratch (pooled Yen
@@ -241,15 +251,19 @@ class ServingCore : public RoutingServiceInterface {
   /// The one request preparation (see PrepareRoutingQuery).
   Status Prepare(const RouteRequest& request, PreparedRoute* prepared) const;
 
-  /// Solves one prepared request at the snapshot `pin` freezes, through
+  /// Solves one prepared request at the pinned snapshot `epoch`, through
   /// `provider` (nullptr = inline) with `scratch`, and shapes the response.
   /// Each request runs exactly once, so its merged options move through
-  /// the solver input into the response.
+  /// the solver input into the response. The caller holds snapshot_lock_
+  /// shared — on its own thread, or for the pool threads of a batch.
   Status Solve(const RouteRequest& request, PreparedRoute& route,
-               const EpochCoordinator::ReadPin& pin,
-               ShardRoutedProvider* provider, SolverScratch* scratch,
-               RouteResponse* response) const;
+               uint64_t epoch, ShardRoutedProvider* provider,
+               SolverScratch* scratch, RouteResponse* response) const;
 
+  /// Committed epoch: written only under the exclusive snapshot lock, so
+  /// a reader holding it shared sees a stable value; an atomic so
+  /// CurrentEpoch() and the epoch gauge read it without the lock.
+  std::atomic<uint64_t> epoch_{0};
   ServingOptions options_;
   SolverRegistry registry_;
   /// Set by the first served query; freezes the registry.
@@ -257,8 +271,8 @@ class ServingCore : public RoutingServiceInterface {
   /// Executes QueryBatch work items; owned so batches reuse warm threads.
   std::unique_ptr<ThreadPool> pool_;
   /// Serialises the parallel section of concurrent QueryBatch calls and
-  /// guards the persistent worker state below. Taken BEFORE the read pin
-  /// so queued batches wait outside the snapshot section — a waiting
+  /// guards the persistent worker state below. Taken BEFORE the snapshot
+  /// lock so queued batches wait outside the snapshot section — a waiting
   /// traffic writer then drains at most one in-flight batch.
   mutable Mutex batch_mu_{"ServingCore::batch_mu_"};
   mutable std::vector<BatchWorker> batch_workers_ GUARDED_BY(batch_mu_);

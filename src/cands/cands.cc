@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/parallel_for.h"
 #include "ksp/dijkstra.h"
 #include "ksp/search_graph.h"
 
@@ -13,14 +12,15 @@ Result<std::unique_ptr<CandsIndex>> CandsIndex::Build(
   Result<Partition> part = PartitionGraph(g, options.partition);
   if (!part.ok()) return part.status();
   std::unique_ptr<CandsIndex> index(new CandsIndex(g, options));
+  index->pool_ = std::make_unique<ThreadPool>(options.build_threads);
   index->partition_ = std::make_unique<Partition>(std::move(part).value());
   index->tables_.resize(index->partition_->subgraphs.size());
   index->overlay_base_ = SkeletonGraph(g.directed());
   index->overlay_base_.SetVertices(index->partition_->boundary_vertices);
-  ParallelFor(index->tables_.size(), options.build_threads,
-              [&](size_t i) {
-                index->RebuildSubgraph(static_cast<SubgraphId>(i));
-              });
+  index->pool_->ParallelFor(
+      index->tables_.size(), /*chunk=*/1, [&](unsigned, size_t i) {
+        index->RebuildSubgraph(static_cast<SubgraphId>(i));
+      });
   for (SubgraphId sgid = 0; sgid < index->tables_.size(); ++sgid) {
     index->PushSubgraphToOverlay(sgid);
   }
@@ -82,9 +82,8 @@ CandsUpdateStats CandsIndex::ApplyUpdates(
   }
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  ParallelFor(dirty.size(), options_.build_threads, [&](size_t i) {
-    RebuildSubgraph(dirty[i]);
-  });
+  pool_->ParallelFor(dirty.size(), /*chunk=*/1,
+                     [&](unsigned, size_t i) { RebuildSubgraph(dirty[i]); });
   for (SubgraphId sgid : dirty) {
     PushSubgraphToOverlay(sgid);
     stats.pair_paths_recomputed += tables_[sgid].pair_paths.size();

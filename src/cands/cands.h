@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/status.h"
+#include "core/thread_pool.h"
 #include "core/types.h"
 #include "dtlp/skeleton_graph.h"
 #include "graph/graph.h"
@@ -27,7 +28,8 @@ namespace kspdg {
 
 struct CandsOptions {
   PartitionOptions partition;
-  /// Threads for (re)building per-subgraph tables.
+  /// Threads for (re)building per-subgraph tables, at build time and in
+  /// every ApplyUpdates (1 = inline).
   unsigned build_threads = 1;
 };
 
@@ -93,6 +95,9 @@ class CandsIndex {
   std::unique_ptr<Partition> partition_;
   std::vector<SubgraphTable> tables_;
   SkeletonGraph overlay_base_;  // boundary graph with *exact* distances
+  /// build_threads workers, kept so every ApplyUpdates reuses them instead
+  /// of spawning threads inside the traffic batch.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace kspdg

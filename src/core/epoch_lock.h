@@ -5,7 +5,8 @@
 // path would never run. EpochLock gives writers strict preference: once a
 // writer is waiting, new readers queue behind it, the writer drains the
 // active readers, applies its batch, and readers resume. This is the
-// "drain readers, apply, bump epoch" discipline RoutingService relies on.
+// "drain readers, apply, bump epoch" discipline the serving core's snapshot
+// lock relies on.
 //
 // Meets the SharedMutex named requirements, so it drops into
 // std::shared_lock / std::unique_lock; first-party code uses the annotated
@@ -40,8 +41,8 @@ class CAPABILITY("epoch_lock") EpochLock {
  public:
   EpochLock() = default;
   /// `name` labels this lock in lock-order diagnostics (instances sharing a
-  /// role share a name, e.g. every per-shard lock is
-  /// "EpochCoordinator::shard_lock"). Must outlive the lock.
+  /// role share a name, e.g. "ServingCore::snapshot_lock_"). Must outlive
+  /// the lock.
   explicit EpochLock(const char* name) : name_(name) {}
 
   EpochLock(const EpochLock&) = delete;
@@ -143,11 +144,6 @@ class CAPABILITY("epoch_lock") EpochLock {
 
   const char* name() const { return name_; }
 
-  /// Assigns the diagnostics name after construction — for locks that live
-  /// in arrays, where a constructor argument cannot be passed. Call before
-  /// the lock is shared between threads.
-  void set_name(const char* name) { name_ = name; }
-
  private:
   Mutex mu_{"EpochLock::mu_"};
   CondVar cv_readers_;
@@ -193,8 +189,6 @@ class SCOPED_CAPABILITY EpochWriterLock {
 };
 
 /// RAII shared hold on an EpochLock (the annotated std::shared_lock).
-/// Returned by value from EpochCoordinator::LockShard — guaranteed copy
-/// elision constructs it in place, so it needs (and has) no move support.
 class SCOPED_CAPABILITY EpochReaderLock {
  public:
   explicit EpochReaderLock(EpochLock& lock) ACQUIRE_SHARED(lock)

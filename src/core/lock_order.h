@@ -7,7 +7,7 @@
 //
 // Model: every annotated lock (core::Mutex, EpochLock) reports its
 // acquisitions and releases here with a *name* — a string naming the lock's
-// role, e.g. "EpochCoordinator::global_lock". Each thread keeps the stack
+// role, e.g. "ServingCore::snapshot_lock_". Each thread keeps the stack
 // of names it currently holds; every acquisition of B while holding A adds
 // the directed edge A -> B to one global acquisition-order graph. A new
 // edge that closes a cycle means two code paths acquire the same pair of
@@ -18,12 +18,12 @@
 // runs once, on any thread, in any interleaving — far stronger than hoping
 // the actual deadlock manifests under test.
 //
-// Instances sharing a name are one graph node: the per-shard EpochLocks all
-// report as "EpochCoordinator::shard_lock", so an order violation against
-// any shard's lock is caught, while acquiring two *sibling* shard locks is
-// deliberately not flagged (same-name self-edges are skipped; readers hold
-// siblings concurrently by design and shared holds cannot deadlock each
-// other). A condition-variable wait keeps its mutex in the held stack: the
+// Instances sharing a name are one graph node: every replica worker's
+// connection lock reports as "RemoteShardedRoutingService::Worker::mu", so
+// an order violation against any one of them is caught, while holding two
+// *siblings* is deliberately not flagged (same-name self-edges are skipped:
+// sibling instances of one role are never ordered against each other). A
+// condition-variable wait keeps its mutex in the held stack: the
 // reacquisition on wakeup is the same lock, and the edges recorded at the
 // original acquisition stay valid.
 #ifndef KSPDG_CORE_LOCK_ORDER_H_

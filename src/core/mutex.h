@@ -1,9 +1,9 @@
 // Annotated lock wrappers: the repo's only sanctioned mutual-exclusion
 // primitives outside std::atomic.
 //
-// core::Mutex / core::MutexLock / core::CondVar / core::SharedMutex wrap
-// the std primitives 1:1 and add the two static-analysis layers this repo
-// builds on:
+// core::Mutex / core::MutexLock / core::CondVar wrap the std primitives 1:1
+// and add the two static-analysis layers this repo builds on (reader/writer
+// state uses the write-preferring EpochLock, core/epoch_lock.h):
 //
 //   1. Clang Thread Safety Analysis (core/thread_annotations.h): Mutex is a
 //      CAPABILITY and MutexLock a SCOPED_CAPABILITY, so `GUARDED_BY(mu_)`
@@ -26,7 +26,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "core/lock_order.h"
 #include "core/thread_annotations.h"
@@ -127,80 +126,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// Reader/writer lock (wraps std::shared_mutex). For epoch-snapshot state
-/// prefer EpochLock (write-preferring; core/epoch_lock.h) — SharedMutex is
-/// for plain mostly-read state with no starvation concern.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  explicit SharedMutex(const char* name) : name_(name) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-    mu_.lock();
-    lock_order::OnAcquire(name_);
-  }
-  void Unlock() RELEASE() {
-    lock_order::OnRelease(name_);
-    mu_.unlock();
-  }
-  bool TryLock() TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    lock_order::OnAcquire(name_);
-    return true;
-  }
-
-  void LockShared() ACQUIRE_SHARED() {
-    mu_.lock_shared();
-    lock_order::OnAcquire(name_);
-  }
-  void UnlockShared() RELEASE_SHARED() {
-    lock_order::OnRelease(name_);
-    mu_.unlock_shared();
-  }
-  bool TryLockShared() TRY_ACQUIRE_SHARED(true) {
-    if (!mu_.try_lock_shared()) return false;
-    lock_order::OnAcquire(name_);
-    return true;
-  }
-
-  const char* name() const { return name_; }
-
- private:
-  std::shared_mutex mu_;
-  const char* name_ = "SharedMutex";
-};
-
-/// RAII exclusive hold on a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared hold on a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-  ~ReaderMutexLock() RELEASE_GENERIC() { mu_.UnlockShared(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace kspdg

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/parallel_for.h"
+#include "core/thread_pool.h"
 
 namespace kspdg {
 
@@ -24,8 +24,9 @@ Result<std::unique_ptr<Dtlp>> Dtlp::Build(const Graph& g,
   }
   // Level 1: per-subgraph bounding paths; embarrassingly parallel across
   // subgraphs (this is the distributed portion of Algorithm 1).
-  ParallelFor(dtlp->indexes_.size(), options.build_threads,
-              [&](size_t i) { dtlp->indexes_[i].Build(); });
+  ThreadPool pool(options.build_threads);
+  pool.ParallelFor(dtlp->indexes_.size(), /*chunk=*/1,
+                   [&](unsigned, size_t i) { dtlp->indexes_[i].Build(); });
 
   // Level 2: skeleton graph over all boundary vertices.
   dtlp->skeleton_ = SkeletonGraph(g.directed());

@@ -54,9 +54,9 @@ std::atomic<uint64_t> g_instance_counter{0};
 }  // namespace
 
 // The fleet's fetch: a PartialsRequest to one worker of the shard's replica
-// set instead of an inline Yen run under the shard's lock. The request
-// carries the pinned epoch, so a worker that silently missed a traffic batch
-// rejects instead of contributing stale paths.
+// set instead of an inline Yen run. The request carries the pinned epoch, so
+// a worker that silently missed a traffic batch rejects instead of
+// contributing stale paths.
 //
 // Replica routing: each fetch starts at the shard's round-robin cursor and
 // walks the replica set, skipping replicas that are dead or have not
@@ -77,7 +77,7 @@ class RemoteShardedRoutingService::RemotePartialProvider final
                VertexId x, VertexId y, size_t depth,
                std::vector<SubgraphPartials>* lists) override {
     const uint32_t replicas = service_.num_replicas_;
-    const uint64_t pinned = pin().epoch();
+    const uint64_t pinned = epoch();
     const uint64_t start =
         service_.next_replica_[shard].fetch_add(1, std::memory_order_relaxed);
     Status last_error;  // stays OK while every replica is merely skipped
@@ -121,7 +121,7 @@ class RemoteShardedRoutingService::RemotePartialProvider final
           std::to_string(worker.replica) + " is dead");
     }
     PartialsRequest request;
-    request.epoch = pin().epoch();
+    request.epoch = epoch();
     request.x = x;
     request.y = y;
     request.depth = depth;
@@ -182,15 +182,6 @@ RemoteShardedRoutingService::Create(Graph graph,
       new RemoteShardedRoutingService(std::move(graph), std::move(options)));
   const RemoteWorkerOptions& remote = service->remote_;
   KSPDG_RETURN_NOT_OK(service->BuildIndexes());
-  // Replay source for worker (re)starts: a restarted worker must re-derive
-  // the exact incrementally-maintained state of its peers, so it loads the
-  // latest checkpoint and replays the retained history. Until the first
-  // checkpoint that is the pristine Create-time graph at epoch 0. (Safe
-  // because the partition is weight-independent and worker partials read
-  // only subgraph weight copies: replaying from a checkpoint lands on the
-  // same bytes as replaying from scratch.)
-  service->checkpoint_graph_ = service->graph_;
-  service->checkpoint_epoch_ = 0;
   Result<ShardAssignment> assignment =
       AssignShards(service->dtlp_->partition(), requested_shards);
   if (!assignment.ok()) return assignment.status();
@@ -278,13 +269,27 @@ RemoteShardedRoutingService::Create(Graph graph,
         }
         return restarts;
       });
-  service->StartServing(num_shards);
-
-  // Spawn last: on any failure the service destructor reaps the workers
-  // already started.
-  for (std::unique_ptr<Worker>& worker : service->workers_) {
-    KSPDG_RETURN_NOT_OK(service->SpawnAndLoadWorker(*worker));
+  {
+    // The replay state is guarded by the snapshot lock; nothing else can
+    // contend for it yet, and serving starts only once the fleet is up.
+    RemoteShardedRoutingService& fleet = *service;
+    EpochWriterLock lock(fleet.snapshot_lock_);
+    // Replay source for worker (re)starts: a restarted worker must
+    // re-derive the exact incrementally-maintained state of its peers, so
+    // it loads the latest checkpoint and replays the retained history.
+    // Until the first checkpoint that is the pristine Create-time graph at
+    // epoch 0. (Safe because the partition is weight-independent and worker
+    // partials read only subgraph weight copies: replaying from a
+    // checkpoint lands on the same bytes as replaying from scratch.)
+    fleet.checkpoint_graph_ = fleet.graph_;
+    fleet.checkpoint_epoch_ = 0;
+    // On any failure the service destructor reaps the workers already
+    // started.
+    for (std::unique_ptr<Worker>& worker : fleet.workers_) {
+      KSPDG_RETURN_NOT_OK(fleet.SpawnAndLoadWorker(*worker));
+    }
   }
+  service->StartServing();
   return service;
 }
 
@@ -390,7 +395,7 @@ Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
                      std::memory_order_release);
   // Conservative stamp: flush any cached partials derived from the previous
   // incarnation (they would replay identically, but a flush is always safe).
-  routing_->MarkShardWritten(worker.shard, epochs_->global());
+  routing_->MarkShardWritten(worker.shard, CurrentEpoch());
   worker.alive.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -490,7 +495,7 @@ Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
       (void)HealthCheckWorker(*worker);
     }
   }
-  const uint64_t committed = epochs_->global();
+  const uint64_t committed = CurrentEpoch();
   Status first_failure = Status::OK();
   for (std::unique_ptr<Worker>& worker : workers_) {
     if (worker->alive.load(std::memory_order_acquire)) {
@@ -534,7 +539,7 @@ Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
 
 Status RemoteShardedRoutingService::RestartDeadWorkers() {
   // Exclusive: restarting swaps worker state under queries' feet otherwise.
-  EpochWriterLock lock(epochs_->global_lock());
+  EpochWriterLock lock(snapshot_lock_);
   return RestartDeadWorkersLocked();
 }
 
@@ -574,7 +579,15 @@ void RemoteShardedRoutingService::StopWorker(Worker& worker) {
 }
 
 TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
-    std::span<const WeightUpdate> updates) {
+    std::span<const WeightUpdate> updates, uint64_t epoch) {
+  if (remote_.auto_restart) {
+    // Revive dead replicas and catch up lagging ones first so they
+    // participate in this epoch instead of falling another batch behind.
+    // Best-effort: a replica that stays dead degrades to sibling reads (or
+    // per-query errors once the whole shard is dead), not this batch.
+    (void)RestartDeadWorkersLocked();
+  }
+
   // Coordinator-side grouping: which shards the batch touches, and how many
   // updates each worker SHOULD apply — the cross-check that catches a
   // worker whose deterministic rebuild diverged from ours.
@@ -586,18 +599,6 @@ TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
     shard_touched[shard] = 1;
     expected_of_shard[shard] += group.updates.size();
   }
-
-  // Exclusive snapshot section: drain every read pin, then move the master
-  // state and every replica to the next global epoch together.
-  EpochWriterLock lock(epochs_->global_lock());
-  if (remote_.auto_restart) {
-    // Revive dead replicas and catch up lagging ones first so they
-    // participate in this epoch instead of falling another batch behind.
-    // Best-effort: a replica that stays dead degrades to sibling reads (or
-    // per-query errors once the whole shard is dead), not this batch.
-    (void)RestartDeadWorkersLocked();
-  }
-  const uint64_t epoch = epochs_->BeginAdvance();
 
   // Phase one: fan the FULL batch out to every replica that is alive at
   // the preceding epoch (each filters to its owned subgraphs with the same
@@ -660,14 +661,12 @@ TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
       });
   for (ShardId si = 0; si < assignment_.num_shards; ++si) {
     if (shard_touched[si] != 0) routing_->MarkShardWritten(si, epoch);
-    epochs_->PublishShard(si, epoch);
   }
 
   // Master apply: the same step RoutingService takes, so the filter step
   // (bounds, skeleton, CANDS) stays answer-identical batch for batch.
   TrafficBatchResult result = ApplyToMaster(updates);
-  epochs_->Commit(epoch);
-  // Only committed batches enter the replay log (== the epoch sequence).
+  // Every applied batch enters the replay log (== the epoch sequence).
   history_.emplace_back(updates.begin(), updates.end());
   if (history_.size() >= max_history_batches_) {
     // Bound the retained history with a checkpoint: snapshot the committed
@@ -708,20 +707,16 @@ TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
         }
         if (!called.ok()) MarkWorkerDead(worker);
       });
-
-  result.epoch = epoch;
   return result;
 }
 
 uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
-  // checkpoint_graph_/checkpoint_epoch_/history_ only mutate under the
-  // exclusive half of the global epoch lock; a shared pin is enough here.
-  EpochReaderLock pin(epochs_->global_lock());
+  EpochReaderLock pin(snapshot_lock_);
   return checkpoint_epoch_;
 }
 
 size_t RemoteShardedRoutingService::history_size() const {
-  EpochReaderLock pin(epochs_->global_lock());
+  EpochReaderLock pin(snapshot_lock_);
   return history_.size();
 }
 

@@ -25,14 +25,13 @@
 //                   the owning shard — the same routing, per-(shard,
 //                   worker) caches and cap/flush telemetry as the
 //                   in-process shards.
-//   ApplyTrafficBatch
-//                   two-phase cross-process epoch commit under the global
-//                   exclusive lock: BeginAdvance, then EpochPrepare RPCs fan
-//                   the full batch out (each worker filters to its owned
-//                   subgraphs and applies its slice of Algorithm 2, then the
-//                   coordinator publishes that shard), then the coordinator
-//                   applies its master copy, Commits the global epoch, and
-//                   sends best-effort EpochCommit acknowledgements.
+//   ApplyBatch      two-phase cross-process epoch commit under the core's
+//                   exclusive snapshot lock: EpochPrepare RPCs fan the full
+//                   batch out (each worker filters to its owned subgraphs
+//                   and applies its slice of Algorithm 2), the coordinator
+//                   applies its master copy and appends the batch to the
+//                   replay history, then sends best-effort EpochCommit
+//                   acknowledgements; the core publishes the epoch.
 //
 // Replication: each shard slice runs num_replicas workers (the YTsaurus
 // changelog/snapshot shape and the YugabyteDB tablet model — single writer
@@ -249,8 +248,8 @@ class RemoteShardedRoutingService : public ServingCore {
  private:
   /// One replica worker process: transport handle, liveness, and its share
   /// of the per-replica serving counters. `mu` serialises calls on the
-  /// single connection; `pid` is written only under the coordinator's
-  /// global exclusive lock (or during Create); `epoch` is additionally
+  /// single connection; `pid` is written only under the exclusive snapshot
+  /// lock; `epoch` is additionally
   /// refreshed from ping replies, and both are read through atomics for
   /// monitoring and read routing.
   struct Worker {
@@ -293,30 +292,30 @@ class RemoteShardedRoutingService : public ServingCore {
   std::unique_ptr<ShardRoutedProvider> NewPartialProvider() const override;
 
   /// The two-phase epoch commit (see file comment).
-  TrafficBatchResult ApplyBatch(
-      std::span<const WeightUpdate> updates) override;
+  TrafficBatchResult ApplyBatch(std::span<const WeightUpdate> updates,
+                                uint64_t epoch) override
+      REQUIRES(snapshot_lock_);
 
   /// Ships the latest checkpoint graph to `worker` and cross-checks the
-  /// deterministic rebuild. Caller holds the global exclusive lock (or is
-  /// inside Create).
-  Status LoadCheckpoint(Worker& worker) const;
+  /// deterministic rebuild.
+  Status LoadCheckpoint(Worker& worker) const REQUIRES(snapshot_lock_);
 
   /// Replays every retained batch with epoch > `from_epoch` onto `worker`.
-  Status ReplayRetainedHistory(Worker& worker, uint64_t from_epoch) const;
+  Status ReplayRetainedHistory(Worker& worker, uint64_t from_epoch) const
+      REQUIRES(snapshot_lock_);
 
   /// Spawns the process for `worker` (which must not have a live child) and
   /// ships it the checkpoint graph + the retained history replay. On
   /// success the worker is alive at the current epoch.
-  Status SpawnAndLoadWorker(Worker& worker) const;
+  Status SpawnAndLoadWorker(Worker& worker) const REQUIRES(snapshot_lock_);
 
   /// Replays the retained history onto an alive-but-lagging worker (or
   /// reloads it from the checkpoint when it fell behind the checkpoint
-  /// epoch) so it rejoins the read rotation at the committed epoch. Caller
-  /// holds the global exclusive lock.
-  Status CatchUpWorker(Worker& worker) const;
+  /// epoch) so it rejoins the read rotation at the committed epoch.
+  Status CatchUpWorker(Worker& worker) const REQUIRES(snapshot_lock_);
 
-  /// RestartDeadWorkers body; caller holds the global exclusive lock.
-  Status RestartDeadWorkersLocked();
+  /// RestartDeadWorkers body.
+  Status RestartDeadWorkersLocked() REQUIRES(snapshot_lock_);
 
   Worker& WorkerAt(ShardId shard, uint32_t replica) const {
     return *workers_[static_cast<size_t>(shard) * num_replicas_ + replica];
@@ -342,14 +341,13 @@ class RemoteShardedRoutingService : public ServingCore {
   /// retained history is replayed onto it. The partition is
   /// weight-independent and worker partials read only subgraph weight
   /// copies, so a checkpoint restart converges bit-identically to a
-  /// full-history replay. Guarded by the global exclusive lock.
-  Graph checkpoint_graph_;
-  uint64_t checkpoint_epoch_ = 0;
+  /// full-history replay.
+  Graph checkpoint_graph_ GUARDED_BY(snapshot_lock_);
+  uint64_t checkpoint_epoch_ GUARDED_BY(snapshot_lock_) = 0;
   /// Traffic batches committed after checkpoint_epoch_, in commit order —
   /// history_[b] is the batch of epoch checkpoint_epoch_ + b + 1. Bounded
-  /// by max_history_batches (a new checkpoint truncates it); guarded by
-  /// the global exclusive lock.
-  std::vector<std::vector<WeightUpdate>> history_;
+  /// by max_history_batches (a new checkpoint truncates it).
+  std::vector<std::vector<WeightUpdate>> history_ GUARDED_BY(snapshot_lock_);
   ShardAssignment assignment_;
   /// Resolved worker binary path (see RemoteWorkerOptions::worker_binary).
   std::string worker_binary_;

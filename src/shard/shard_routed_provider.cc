@@ -64,16 +64,13 @@ ShardRoutedProvider::ShardRoutedProvider(const ShardRouting& routing)
       caches_(routing.shards_.size()),
       shard_touched_(routing.shards_.size(), 0) {}
 
-void ShardRoutedProvider::BeginQuery(const EpochCoordinator::ReadPin& pin) {
-  pin_ = &pin;
+void ShardRoutedProvider::BeginQuery(uint64_t epoch) {
+  epoch_ = epoch;
   std::fill(shard_touched_.begin(), shard_touched_.end(), 0);
   error_ = Status::OK();
 }
 
 Status ShardRoutedProvider::EndQuery(bool solved) {
-  // The pin dies with the caller's snapshot section; unbind so a stale
-  // pointer can never be dereferenced by a mis-sequenced call.
-  pin_ = nullptr;
   if (!error_.ok()) return error_;
   if (solved) {
     size_t touched = 0;
@@ -115,7 +112,7 @@ PartialResult ShardRoutedProvider::ComputePartials(VertexId x, VertexId y,
     const ShardRouting::Shard& shard = *routing_.shards_[shard_id];
     shard_touched_[shard_id] = 1;
     ShardCache& cache = caches_[shard_id];
-    // Stable under the pin: writers are excluded by the global lock.
+    // Stable under the shared snapshot lock, which excludes writers.
     const uint64_t weights_epoch =
         shard.weights_epoch.load(std::memory_order_acquire);
     if (cache.epoch != weights_epoch) {

@@ -9,9 +9,10 @@
 // so the result is identical to the inline computation by construction.
 //
 // All of that routing lives here once. A deployment supplies only Fetch, the
-// fresh computation of one shard's lists: inline under the shard's read lock
+// fresh computation of one shard's lists: inline on the solving thread
 // (ShardedRoutingService) or an RPC to one replica of the shard's workers
-// (RemoteShardedRoutingService).
+// (RemoteShardedRoutingService). Either way it runs inside the serving
+// core's shared snapshot section, which freezes every shard at once.
 //
 // Caching: the provider memoises one shard's lists per (x, y, depth). An
 // entry is reused only when the requested depth matches exactly, or when
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "api/service_metrics.h"
-#include "core/epoch_coordinator.h"
 #include "core/status.h"
 #include "core/types.h"
 #include "kspdg/partial_provider.h"
@@ -141,9 +141,10 @@ class ShardRoutedProvider : public PartialProvider {
  public:
   explicit ShardRoutedProvider(const ShardRouting& routing);
 
-  /// Starts one query at the snapshot `pin` freezes; the pin must outlive
-  /// the query. Resets the per-query state (the caches persist).
-  void BeginQuery(const EpochCoordinator::ReadPin& pin);
+  /// Starts one query at the pinned snapshot `epoch`; the caller holds the
+  /// snapshot lock shared until EndQuery. Resets the per-query state (the
+  /// caches persist).
+  void BeginQuery(uint64_t epoch);
 
   /// Ends the query and returns its first failed fetch (OK if none); the
   /// caller must then discard the solver's output. A query that `solved`
@@ -160,8 +161,8 @@ class ShardRoutedProvider : public PartialProvider {
                        VertexId x, VertexId y, size_t depth,
                        std::vector<SubgraphPartials>* lists) = 0;
 
-  /// The pin of the current query (valid between BeginQuery and EndQuery).
-  const EpochCoordinator::ReadPin& pin() const { return *pin_; }
+  /// The pinned epoch of the current query (set by BeginQuery).
+  uint64_t epoch() const { return epoch_; }
 
  private:
   struct CacheEntry {
@@ -183,7 +184,7 @@ class ShardRoutedProvider : public PartialProvider {
   };
 
   const ShardRouting& routing_;
-  const EpochCoordinator::ReadPin* pin_ = nullptr;
+  uint64_t epoch_ = 0;
   std::vector<ShardCache> caches_;
   std::vector<char> shard_touched_;
   Status error_;

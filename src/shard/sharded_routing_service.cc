@@ -5,14 +5,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/epoch_lock.h"
 #include "kspdg/partial_provider.h"
 
 namespace kspdg {
 
-// Fetches inline under the shard's read lock — the in-process stand-in for
-// shipping the request to the shard's worker, with the shard's state frozen
-// while it computes.
+// Fetches inline — the in-process stand-in for shipping the request to the
+// shard's worker; the core's shared snapshot section freezes the shard's
+// state while it computes.
 class ShardedRoutingService::InProcessProvider final
     : public ShardRoutedProvider {
  public:
@@ -26,7 +25,6 @@ class ShardedRoutingService::InProcessProvider final
     service_.shards_[shard].partial_requests.Increment();
     service_.shards_[shard].yen_runs.Increment(owned.size());
     const Partition& partition = service_.dtlp().partition();
-    EpochReaderLock lock = pin().LockShard(shard);
     for (SubgraphId sgid : owned) {
       lists->push_back({sgid, LocalPartialProvider::PartialsInSubgraph(
                                   partition.subgraphs[sgid], x, y, depth)});
@@ -66,7 +64,7 @@ Result<std::unique_ptr<ShardedRoutingService>> ShardedRoutingService::Create(
       service->defaults().partial_cache_pairs, service->metrics_);
   service->apply_pool_ = std::make_unique<ThreadPool>(
       ResolveApplyThreads(apply_threads, num_shards));
-  service->StartServing(num_shards);
+  service->StartServing();
   return service;
 }
 
@@ -78,7 +76,7 @@ ShardedRoutingService::NewPartialProvider() const {
 }
 
 TrafficBatchResult ShardedRoutingService::ApplyBatch(
-    std::span<const WeightUpdate> updates) {
+    std::span<const WeightUpdate> updates, uint64_t epoch) {
   // Each shard applies the slices of the subgraphs it owns, ascending.
   const std::vector<SubgraphUpdates> groups =
       GroupUpdatesBySubgraph(dtlp_->partition(), updates);
@@ -92,21 +90,15 @@ TrafficBatchResult ShardedRoutingService::ApplyBatch(
   }
   result.dtlp.subgraphs_touched = groups.size();
 
-  // Exclusive snapshot section: drain every read pin, then move all shards
-  // and the master state to the next global epoch together — the write half
-  // of the coordinator's locking protocol.
-  EpochWriterLock lock(epochs_->global_lock());
-  const uint64_t epoch = epochs_->BeginAdvance();
   // Master: flat graph weights (the baselines' view of the snapshot).
   for (const WeightUpdate& update : updates) graph_.SetWeight(update);
 
-  // Shard fan-out: each shard applies its slice of Algorithm 2 under its
-  // own writer lock and publishes the new epoch — the in-process analogue
-  // of the paper's per-server update application.
+  // Shard fan-out: each shard applies its slice of Algorithm 2 — the
+  // in-process analogue of the paper's per-server update application.
+  // Shards own disjoint subgraphs, so the slices apply in parallel.
   std::vector<std::vector<SubgraphId>> refreshed_of_shard(shards_.size());
   apply_pool_->ParallelFor(
       shards_.size(), /*chunk=*/1, [&](unsigned, size_t si) {
-        EpochWriterLock shard_lock(epochs_->shard_lock(si));
         for (const SubgraphUpdates* group : groups_of_shard[si]) {
           dtlp_->ApplyUpdatesToSubgraph(group->sgid, group->updates);
           if (dtlp_->RefreshSubgraph(group->sgid)) {
@@ -119,11 +111,10 @@ TrafficBatchResult ShardedRoutingService::ApplyBatch(
           // across this batch.
           routing_->MarkShardWritten(static_cast<ShardId>(si), epoch);
         }
-        epochs_->PublishShard(si, epoch);
       });
 
   // Master: refresh the skeleton from the shards whose bounds changed, in
-  // ascending subgraph order for determinism, then commit the epoch.
+  // ascending subgraph order for determinism.
   std::vector<SubgraphId> refreshed;
   for (const std::vector<SubgraphId>& list : refreshed_of_shard) {
     refreshed.insert(refreshed.end(), list.begin(), list.end());
@@ -134,8 +125,6 @@ TrafficBatchResult ShardedRoutingService::ApplyBatch(
     result.dtlp.skeleton_pairs_refreshed += dtlp_->index(sgid).pairs().size();
   }
   MaintainCands(updates, &result);
-  epochs_->Commit(epoch);
-  result.epoch = epoch;
   return result;
 }
 
@@ -147,7 +136,6 @@ std::vector<ShardInfo> ShardedRoutingService::ShardInfos() const {
     info.shard = shard;
     info.subgraphs = assignment_.subgraphs_of_shard[shard].size();
     info.vertices = assignment_.vertices_of_shard[shard];
-    info.epoch = epochs_->shard(shard);
     info.partial_requests = shards_[shard].partial_requests.value();
     info.yen_runs = shards_[shard].yen_runs.value();
     info.partial_cache_hits = routing_->cache_hits(shard);

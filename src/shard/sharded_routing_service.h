@@ -9,18 +9,16 @@
 // supplies the two pieces that depend on the shards:
 //
 //   partials        a ShardRoutedProvider (shard/shard_routed_provider.h)
-//                   that computes each shard's partial lists inline under
-//                   that shard's read lock, taken through the core's
-//                   EpochCoordinator::ReadPin. Batch workers keep
+//                   that computes each shard's partial lists inline, inside
+//                   the core's shared snapshot section. Batch workers keep
 //                   per-(shard, worker) caches, flushed when that shard's
 //                   weights change.
-//   ApplyTrafficBatch
-//                   global exclusive lock (drains every pin), then the
-//                   batch fans out per shard in parallel: each shard takes
-//                   its own writer lock, applies its slice of Algorithm 2,
-//                   and publishes the new epoch; the coordinator refreshes
-//                   the skeleton and commits ONE global epoch, so responses
-//                   still name a single consistent snapshot.
+//   ApplyBatch      runs under the core's exclusive snapshot lock, so no
+//                   reader sees any shard mid-batch: the batch fans out per
+//                   shard in parallel (each shard applies its slice of
+//                   Algorithm 2), then the coordinator refreshes the
+//                   skeleton and CANDS; the core publishes ONE epoch for
+//                   all shards, so responses name a single snapshot.
 #ifndef KSPDG_SHARD_SHARDED_ROUTING_SERVICE_H_
 #define KSPDG_SHARD_SHARDED_ROUTING_SERVICE_H_
 
@@ -56,8 +54,6 @@ struct ShardInfo {
   /// Subgraphs / total subgraph vertices this shard owns (static).
   size_t subgraphs = 0;
   size_t vertices = 0;
-  /// Epoch this shard last published (== the global epoch between batches).
-  uint64_t epoch = 0;
   /// Boundary-pair partial requests this shard computed fresh.
   uint64_t partial_requests = 0;
   /// Per-subgraph Yen invocations performed serving those requests.
@@ -94,9 +90,8 @@ class ShardedRoutingService : public ServingCore {
  private:
   /// One shard's fresh-computation telemetry, labelled {shard="<id>"}. The
   /// subgraph/index storage itself stays inside the shared Dtlp
-  /// (per-subgraph operations are thread-safe across distinct subgraphs);
-  /// the shard's lock — owned by the EpochCoordinator — serialises readers
-  /// of its slice against its apply fan-out worker.
+  /// (per-subgraph operations are thread-safe across distinct subgraphs,
+  /// and the snapshot lock keeps readers out of the apply fan-out).
   struct Shard {
     Counter partial_requests;
     Counter yen_runs;
@@ -110,8 +105,9 @@ class ShardedRoutingService : public ServingCore {
   std::unique_ptr<ShardRoutedProvider> NewPartialProvider() const override;
 
   /// The per-shard fan-out (see file comment).
-  TrafficBatchResult ApplyBatch(
-      std::span<const WeightUpdate> updates) override;
+  TrafficBatchResult ApplyBatch(std::span<const WeightUpdate> updates,
+                                uint64_t epoch) override
+      REQUIRES(snapshot_lock_);
 
   ShardAssignment assignment_;
   std::vector<Shard> shards_;

@@ -27,10 +27,12 @@ namespace {
 
 std::unique_ptr<RoutingService> MustCreate(Graph g, uint32_t z = 0,
                                            RoutingOptions defaults = {},
-                                           unsigned batch_threads = 0) {
+                                           unsigned batch_threads = 0,
+                                           unsigned build_threads = 1) {
   RoutingServiceOptions options;
   options.defaults = std::move(defaults);
   options.batch_threads = batch_threads;
+  options.dtlp.build_threads = build_threads;
   if (z != 0) options.dtlp.partition.max_vertices = z;
   Result<std::unique_ptr<RoutingService>> service =
       RoutingService::Create(std::move(g), std::move(options));
@@ -1047,8 +1049,12 @@ RouteRequest MakeKindRequest(QueryKind kind, VertexId s, VertexId t) {
 TEST(MultiKindQueryTest, ShortestPathKindRoutesToCandsAndMatchesDijkstra) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Graph g = MakeRandomConnected(30, 40, 1, 9, seed * 19 + 3);
+    // Odd seeds build the DTLP and CANDS on a 3-thread pool, which CANDS
+    // keeps for its rebuilds inside every traffic batch.
+    const unsigned build_threads = seed % 2 == 0 ? 1 : 3;
     std::unique_ptr<RoutingService> service =
-        MustCreate(std::move(g), /*z=*/10);
+        MustCreate(std::move(g), /*z=*/10, /*defaults=*/{},
+                   /*batch_threads=*/0, build_threads);
     ASSERT_TRUE(service != nullptr);
 
     TrafficModelOptions traffic_options;

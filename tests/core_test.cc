@@ -1,5 +1,5 @@
 // Unit tests for src/core: Status/Result, Rng, IndexedMinHeap, SmallSortedSet,
-// ParallelFor, ThreadPool, EpochLock.
+// ThreadPool, EpochLock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,15 +7,12 @@
 #include <chrono>
 #include <mutex>
 #include <queue>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/epoch_coordinator.h"
 #include "core/epoch_lock.h"
 #include "core/indexed_heap.h"
-#include "core/parallel_for.h"
 #include "core/rng.h"
 #include "core/small_set.h"
 #include "core/status.h"
@@ -204,69 +201,27 @@ TEST(SmallSortedSetTest, IteratesSorted) {
   EXPECT_EQ(got.size(), 4u);
 }
 
-TEST(ParallelForTest, CoversAllIndices) {
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(hits.size(), 4, [&](size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, SingleThreadInline) {
-  std::vector<int> hits(100, 0);
-  ParallelFor(hits.size(), 1, [&](size_t i) { hits[i]++; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForTest, MoreThreadsThanItems) {
-  std::atomic<int> sum{0};
-  ParallelFor(3, 16, [&](size_t i) { sum += static_cast<int>(i); });
-  EXPECT_EQ(sum.load(), 3);
-}
-
-TEST(ParallelForTest, ZeroItemsIsNoOp) {
-  ParallelFor(0, 4, [](size_t) { FAIL(); });
-}
-
-TEST(ParallelForChunkedTest, CoversAllIndicesWithValidWorkerIds) {
-  constexpr unsigned kThreads = 4;
-  std::vector<std::atomic<int>> hits(1000);
-  std::atomic<int> bad_worker{0};
-  ParallelForChunked(hits.size(), 16, kThreads, [&](unsigned worker, size_t i) {
-    if (worker >= kThreads) bad_worker.fetch_add(1);
-    hits[i]++;
-  });
-  EXPECT_EQ(bad_worker.load(), 0);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForChunkedTest, ChunkLargerThanCountRunsInline) {
-  std::vector<int> hits(10, 0);
-  int workers_seen = 0;
-  ParallelForChunked(hits.size(), 64, 4, [&](unsigned worker, size_t i) {
-    // Inline fallback: single worker 0, no data race on plain ints.
-    workers_seen |= static_cast<int>(worker);
-    hits[i]++;
-  });
-  EXPECT_EQ(workers_seen, 0);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ParallelForChunkedTest, ZeroChunkTreatedAsOne) {
-  std::vector<std::atomic<int>> hits(64);
-  ParallelForChunked(hits.size(), 0, 3, [&](unsigned, size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ThreadPoolTest, CoversAllIndicesAcrossRepeatedLoops) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   for (int round = 0; round < 5; ++round) {
+    // The first round passes chunk 0, which is treated as 1.
+    const size_t chunk = round == 0 ? 0 : 8;
     std::vector<std::atomic<int>> hits(500);
-    pool.ParallelFor(hits.size(), 8, [&](unsigned worker, size_t i) {
+    pool.ParallelFor(hits.size(), chunk, [&](unsigned worker, size_t i) {
       EXPECT_LT(worker, 4u);
       hits[i]++;
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
+  // More threads than items: every item still runs exactly once.
+  ThreadPool wide(16);
+  std::vector<std::atomic<int>> few(3);
+  wide.ParallelFor(few.size(), 1, [&](unsigned worker, size_t i) {
+    EXPECT_LT(worker, 16u);
+    few[i]++;
+  });
+  for (const auto& h : few) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
@@ -278,6 +233,15 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
     hits[i]++;
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+  // A chunk covering every item runs inline on the caller even when the
+  // pool has workers (plain ints: no other thread touches them).
+  ThreadPool pool4(4);
+  std::vector<int> small(10, 0);
+  pool4.ParallelFor(small.size(), 64, [&](unsigned worker, size_t i) {
+    EXPECT_EQ(worker, 0u);
+    small[i]++;
+  });
+  for (int h : small) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, ZeroItemsIsNoOp) {
@@ -353,103 +317,6 @@ TEST(EpochLockTest, WriterIsNotStarvedByReaderChurn) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(writes.load(), 50);
-}
-
-TEST(EpochCoordinatorTest, AdvanceProtocolMovesAllShardsTogether) {
-  EpochCoordinator epochs(3);
-  EXPECT_EQ(epochs.num_shards(), 3u);
-  EXPECT_EQ(epochs.global(), 0u);
-  EXPECT_TRUE(epochs.Consistent());
-
-  uint64_t next = epochs.BeginAdvance();
-  EXPECT_EQ(next, 1u);
-  EXPECT_EQ(epochs.global(), 0u);  // not committed yet
-  epochs.PublishShard(0, next);
-  epochs.PublishShard(1, next);
-  EXPECT_FALSE(epochs.Consistent());  // shard 2 still at the old epoch
-  epochs.PublishShard(2, next);
-  epochs.Commit(next);
-  EXPECT_EQ(epochs.global(), 1u);
-  EXPECT_TRUE(epochs.Consistent());
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(epochs.shard(shard), 1u) << shard;
-  }
-}
-
-TEST(EpochCoordinatorTest, ShardsPublishConcurrently) {
-  constexpr size_t kShards = 8;
-  EpochCoordinator epochs(kShards);
-  for (uint64_t round = 1; round <= 20; ++round) {
-    uint64_t next = epochs.BeginAdvance();
-    EXPECT_EQ(next, round);
-    std::vector<std::thread> workers;
-    for (size_t shard = 0; shard < kShards; ++shard) {
-      workers.emplace_back(
-          [&epochs, shard, next] { epochs.PublishShard(shard, next); });
-    }
-    for (std::thread& t : workers) t.join();
-    epochs.Commit(next);
-    EXPECT_EQ(epochs.global(), round);
-    EXPECT_TRUE(epochs.Consistent());
-  }
-}
-
-TEST(EpochCoordinatorTest, SingleShardDegeneratesToPlainCounter) {
-  EpochCoordinator epochs(1);
-  for (uint64_t round = 1; round <= 5; ++round) {
-    uint64_t next = epochs.BeginAdvance();
-    epochs.PublishShard(0, next);
-    epochs.Commit(next);
-  }
-  EXPECT_EQ(epochs.global(), 5u);
-  EXPECT_EQ(epochs.shard(0), 5u);
-  EXPECT_TRUE(epochs.Consistent());
-}
-
-TEST(EpochCoordinatorTest, ReadPinObservesOneCoherentSnapshot) {
-  EpochCoordinator epochs(3);
-  {
-    uint64_t next = epochs.BeginAdvance();
-    for (size_t shard = 0; shard < 3; ++shard) epochs.PublishShard(shard, next);
-    epochs.Commit(next);
-  }
-  EpochCoordinator::ReadPin pin(epochs);
-  EXPECT_EQ(pin.epoch(), 1u);
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(pin.shard_epoch(shard), pin.epoch()) << shard;
-    EpochReaderLock lock = pin.LockShard(shard);
-    EXPECT_TRUE(lock.owns_lock());
-  }
-}
-
-TEST(EpochCoordinatorTest, ReadPinBlocksConcurrentAdvance) {
-  EpochCoordinator epochs(2);
-  std::atomic<bool> advanced{false};
-  std::thread writer;
-  {
-    EpochCoordinator::ReadPin pin(epochs);
-    writer = std::thread([&] {
-      // The write half of the protocol: exclusive global lock, advance.
-      std::unique_lock<EpochLock> lock(epochs.global_lock());
-      uint64_t next = epochs.BeginAdvance();
-      for (size_t shard = 0; shard < 2; ++shard) {
-        std::unique_lock<EpochLock> shard_lock(epochs.shard_lock(shard));
-        epochs.PublishShard(shard, next);
-      }
-      epochs.Commit(next);
-      advanced.store(true, std::memory_order_release);
-    });
-    // The writer must wait for the pin: the pinned epoch stays committed
-    // and consistent the whole time the pin is held.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_FALSE(advanced.load(std::memory_order_acquire));
-    EXPECT_EQ(pin.epoch(), 0u);
-    EXPECT_TRUE(epochs.Consistent());
-  }
-  writer.join();
-  EXPECT_TRUE(advanced.load());
-  EXPECT_EQ(epochs.global(), 1u);
-  EXPECT_TRUE(epochs.Consistent());
 }
 
 // ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakePrepareHook(
     }
     plan->prepares_seen.fetch_add(1, std::memory_order_relaxed);
     if (plan->kill_at_prepare.exchange(false, std::memory_order_acq_rel)) {
-      // Crash exactly between BeginAdvance and this replica's prepare:
+      // Crash exactly between the epoch advance and this replica's prepare:
       // the RPC then fails on the dead process and the coordinator marks
       // the replica dead mid-batch, deterministically.
       EXPECT_GT(point.pid, 0);

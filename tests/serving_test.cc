@@ -3,18 +3,27 @@
 // RemoteShardedRoutingService fleet: every one exports the series the plain
 // service exports (dashboards and the benchmark read them by name), drains
 // accepted SubmitBatch work on destruction while its shard providers are
-// still alive, and flushes per-shard partial caches by the same rule.
+// still alive, holds a traffic batch back while a query is inside its
+// snapshot, and flushes per-shard partial caches by the same rule.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <latch>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "api/ksp_solver.h"
 #include "api/routing_options.h"
 #include "api/routing_service_interface.h"
+#include "api/serving_core.h"
 #include "graph/generators.h"
 #include "ksp/path.h"
 #include "parity_harness.h"
@@ -36,8 +45,8 @@ std::string DeploymentName(Deployment deployment) {
   return "Unknown";
 }
 
-std::unique_ptr<RoutingServiceInterface> MustCreate(Deployment deployment,
-                                                    Graph g, uint32_t z) {
+std::unique_ptr<ServingCore> MustCreate(Deployment deployment, Graph g,
+                                        uint32_t z) {
   switch (deployment) {
     case Deployment::kPlain:
       return MustCreatePlain(std::move(g), z);
@@ -160,6 +169,83 @@ TEST_P(ServingDrainTest, DestructionDrainsAcceptedKspdgBatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllDeployments, ServingDrainTest,
+    ::testing::Values(Deployment::kPlain, Deployment::kSharded,
+                      Deployment::kFleet),
+    [](const ::testing::TestParamInfo<Deployment>& info) {
+      return DeploymentName(info.param);
+    });
+
+// ---------------------------------------------------------------------------
+// One snapshot lock: a query inside its snapshot section holds every
+// traffic batch back, on every deployment.
+// ---------------------------------------------------------------------------
+
+// A backend that signals `entered` from inside Solve and then parks until
+// `release` opens, so a test can keep a query in its snapshot section.
+class LatchSolver : public KspSolver {
+ public:
+  LatchSolver(std::latch& entered, std::latch& release)
+      : entered_(entered), release_(release) {}
+
+  std::string_view name() const override { return "latch"; }
+
+  Result<KspQueryResult> Solve(const SolverInput&,
+                               SolverScratch*) const override {
+    entered_.count_down();
+    release_.wait();
+    return KspQueryResult{};
+  }
+
+ private:
+  std::latch& entered_;
+  std::latch& release_;
+};
+
+class ConcurrentSnapshotTest : public ::testing::TestWithParam<Deployment> {};
+
+TEST_P(ConcurrentSnapshotTest, TrafficWaitsForAPinnedQuery) {
+  // Declared before the service, which owns the solver that uses them.
+  std::latch entered(1);
+  std::latch release(1);
+  Graph g = MakeRandomConnected(20, 26, 1, 9, 59);
+  std::unique_ptr<ServingCore> service =
+      MustCreate(GetParam(), std::move(g), /*z=*/8);
+  ASSERT_TRUE(service != nullptr);
+  ASSERT_TRUE(
+      service->RegisterSolver(std::make_unique<LatchSolver>(entered, release))
+          .ok());
+
+  std::optional<Result<RouteResponse>> answered;
+  std::thread reader(
+      [&] { answered = service->Query(MakeRequest(0, 19, "latch", 2)); });
+  entered.wait();  // the query now holds the snapshot lock shared
+
+  std::atomic<bool> applied{false};
+  std::optional<Result<TrafficBatchResult>> batch;
+  std::thread writer([&] {
+    std::vector<WeightUpdate> updates = {{0, 3.0, 3.0}};
+    batch = service->ApplyTrafficBatch(updates);
+    applied.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(applied.load(std::memory_order_acquire))
+      << "the traffic batch did not wait for the pinned query";
+  EXPECT_EQ(service->CurrentEpoch(), 0u);
+
+  release.count_down();
+  reader.join();
+  writer.join();
+  ASSERT_TRUE(answered.has_value());
+  ASSERT_TRUE(answered->ok()) << answered->status().ToString();
+  EXPECT_EQ(answered->value().epoch, 0u);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_TRUE(batch->ok()) << batch->status().ToString();
+  EXPECT_EQ(batch->value().epoch, 1u);
+  EXPECT_EQ(service->CurrentEpoch(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllDeployments, ConcurrentSnapshotTest,
     ::testing::Values(Deployment::kPlain, Deployment::kSharded,
                       Deployment::kFleet),
     [](const ::testing::TestParamInfo<Deployment>& info) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """kspdg_lint: repo-invariant linter for the kspdg tree (blocking in CI).
 
-Four rules, each encoding an invariant the compiler cannot (or does not)
+Five rules, each encoding an invariant the compiler cannot (or does not)
 check on its own:
 
   nodiscard      Status / Result are declared [[nodiscard]] at class scope
@@ -17,6 +17,13 @@ check on its own:
                  core/thread_pool.h) so thread-safety analysis and the
                  runtime lock-order checker see every acquisition.
 
+  analysis-escape
+                 Outside src/core/ no function turns Clang's thread-safety
+                 analysis off with the escape macro of
+                 core/thread_annotations.h: a lock contract the analysis
+                 cannot follow belongs in an annotated core wrapper, so
+                 every acquisition elsewhere stays checked.
+
   wire-symmetry  Every message struct in src/rpc/wire.cc encodes and
                  decodes the same field sequence: the per-kind counts of
                  WireWriter ops (U8/U32/U64/F64/Str) in X::Encode must
@@ -31,7 +38,7 @@ check on its own:
 
 Suppression: append `// kspdg-lint: allow(<rule>)` on the offending line
 or the line directly above it. <rule> is one of: nodiscard, raw-mutex,
-raw-thread, wire-symmetry, metric-names.
+raw-thread, analysis-escape, wire-symmetry, metric-names.
 
 Usage: tools/kspdg_lint.py [--root DIR]
 Exits 0 when the tree is clean, 1 when any finding survives suppression.
@@ -126,6 +133,33 @@ def check_raw_primitives(root, findings):
                     f"std::{kind} outside src/core/ — use the annotated "
                     "core wrappers (core/mutex.h, core/thread_pool.h)",
                 )
+
+
+# --- rule: analysis-escape -------------------------------------------------
+
+# Spelled in two pieces so that grepping src/ and tools/ for the macro finds
+# only its definition.
+ANALYSIS_ESCAPE_RE = re.compile(r"\b" + "NO_THREAD_SAFETY" + r"_ANALYSIS\b")
+
+
+def check_analysis_escape(root, findings):
+    for rel in iter_source_files(root, ("src", "tools")):
+        if rel.replace(os.sep, "/").startswith("src/core/"):
+            continue  # the macro and the wrappers that may need it live here
+        lines = read_lines(root, rel)
+        for lineno, line in enumerate(lines, start=1):
+            if not ANALYSIS_ESCAPE_RE.search(strip_comments(line)):
+                continue
+            if suppressed(lines, lineno, "analysis-escape"):
+                continue
+            findings.add(
+                rel,
+                lineno,
+                "analysis-escape",
+                "thread-safety analysis turned off outside src/core/ — "
+                "express the contract with REQUIRES/ACQUIRE annotations or "
+                "an annotated core wrapper",
+            )
 
 
 # --- rule: nodiscard --------------------------------------------------------
@@ -362,6 +396,7 @@ def main(argv=None):
 
     findings = Findings()
     check_raw_primitives(args.root, findings)
+    check_analysis_escape(args.root, findings)
     check_nodiscard(args.root, findings)
     check_wire_symmetry(args.root, findings)
     check_metric_names(args.root, findings)
