@@ -1,10 +1,11 @@
 // Unit tests for src/core: Status/Result, Rng, IndexedMinHeap, SmallSortedSet,
-// ThreadPool, EpochLock.
+// ThreadPool (and its ParallelFor loop), EpochLock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <mutex>
 #include <queue>
 #include <string>
@@ -201,27 +202,80 @@ TEST(SmallSortedSetTest, IteratesSorted) {
   EXPECT_EQ(got.size(), 4u);
 }
 
+// The parallel loop contract of ThreadPool::ParallelFor, one edge per test:
+// thread counts, chunk sizes and item counts at and past their limits.
+TEST(ParallelForTest, CoversAllIndices) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.ParallelFor(hits.size(), 1, [&](unsigned, size_t i) { hits[i]++; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, SingleThreadInline) {
+  ThreadPool pool(1);
+  std::vector<int> hits(100, 0);
+  pool.ParallelFor(hits.size(), 1, [&](unsigned, size_t i) { hits[i]++; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelForTest, MoreThreadsThanItems) {
+  ThreadPool pool(16);
+  std::atomic<int> sum{0};
+  pool.ParallelFor(3, 1, [&](unsigned, size_t i) {
+    sum += static_cast<int>(i);
+  });
+  EXPECT_EQ(sum.load(), 3);
+}
+
+TEST(ParallelForTest, ZeroItemsIsNoOp) {
+  ThreadPool pool(4);
+  pool.ParallelFor(0, 1, [](unsigned, size_t) { FAIL(); });
+}
+
+TEST(ParallelForChunkedTest, CoversAllIndicesWithValidWorkerIds) {
+  constexpr unsigned kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::vector<std::atomic<int>> hits(1000);
+  std::atomic<int> bad_worker{0};
+  pool.ParallelFor(hits.size(), 16, [&](unsigned worker, size_t i) {
+    if (worker >= kThreads) bad_worker.fetch_add(1);
+    hits[i]++;
+  });
+  EXPECT_EQ(bad_worker.load(), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForChunkedTest, ChunkLargerThanCountRunsInline) {
+  ThreadPool pool(4);
+  std::vector<int> hits(10, 0);
+  int workers_seen = 0;
+  pool.ParallelFor(hits.size(), 64, [&](unsigned worker, size_t i) {
+    // Inline fallback: single worker 0, no data race on plain ints.
+    workers_seen |= static_cast<int>(worker);
+    hits[i]++;
+  });
+  EXPECT_EQ(workers_seen, 0);
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelForChunkedTest, ZeroChunkTreatedAsOne) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(64);
+  pool.ParallelFor(hits.size(), 0, [&](unsigned, size_t i) { hits[i]++; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ThreadPoolTest, CoversAllIndicesAcrossRepeatedLoops) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.num_threads(), 4u);
   for (int round = 0; round < 5; ++round) {
-    // The first round passes chunk 0, which is treated as 1.
-    const size_t chunk = round == 0 ? 0 : 8;
     std::vector<std::atomic<int>> hits(500);
-    pool.ParallelFor(hits.size(), chunk, [&](unsigned worker, size_t i) {
+    pool.ParallelFor(hits.size(), 8, [&](unsigned worker, size_t i) {
       EXPECT_LT(worker, 4u);
       hits[i]++;
     });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
-  // More threads than items: every item still runs exactly once.
-  ThreadPool wide(16);
-  std::vector<std::atomic<int>> few(3);
-  wide.ParallelFor(few.size(), 1, [&](unsigned worker, size_t i) {
-    EXPECT_LT(worker, 16u);
-    few[i]++;
-  });
-  for (const auto& h : few) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
@@ -233,15 +287,6 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
     hits[i]++;
   });
   for (int h : hits) EXPECT_EQ(h, 1);
-  // A chunk covering every item runs inline on the caller even when the
-  // pool has workers (plain ints: no other thread touches them).
-  ThreadPool pool4(4);
-  std::vector<int> small(10, 0);
-  pool4.ParallelFor(small.size(), 64, [&](unsigned worker, size_t i) {
-    EXPECT_EQ(worker, 0u);
-    small[i]++;
-  });
-  for (int h : small) EXPECT_EQ(h, 1);
 }
 
 TEST(ThreadPoolTest, ZeroItemsIsNoOp) {
@@ -317,6 +362,35 @@ TEST(EpochLockTest, WriterIsNotStarvedByReaderChurn) {
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(writes.load(), 50);
+}
+
+// The epoch protocol the serving core runs on its one snapshot lock: a query
+// pins the committed epoch by holding the lock shared, and a traffic batch
+// advances the epoch only while it holds the lock exclusively.
+TEST(EpochCoordinatorTest, ReadPinBlocksConcurrentAdvance) {
+  EpochLock snapshot_lock;
+  std::atomic<uint64_t> epoch{0};
+  std::atomic<bool> advanced{false};
+  std::thread writer;
+  {
+    EpochReaderLock pin(snapshot_lock);
+    const uint64_t pinned = epoch.load(std::memory_order_acquire);
+    writer = std::thread([&] {
+      EpochWriterLock lock(snapshot_lock);
+      epoch.store(epoch.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_release);
+      advanced.store(true, std::memory_order_release);
+    });
+    // The writer must wait for the pin: the pinned epoch stays committed the
+    // whole time the pin is held.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(advanced.load(std::memory_order_acquire));
+    EXPECT_EQ(pinned, 0u);
+    EXPECT_EQ(epoch.load(std::memory_order_acquire), pinned);
+  }
+  writer.join();
+  EXPECT_TRUE(advanced.load());
+  EXPECT_EQ(epoch.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------
