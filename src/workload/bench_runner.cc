@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -28,54 +29,507 @@
 namespace kspdg {
 namespace {
 
-struct WorkItem {
-  VertexId source = kInvalidVertex;
-  VertexId target = kInvalidVertex;
-  size_t backend_index = 0;
+// ---------------------------------------------------------------------------
+// BENCH JSON.
+// ---------------------------------------------------------------------------
+
+/// Pretty-printer behind BenchReport::ToJson. It owns the layout (two spaces
+/// of indentation per level, one field per line, commas between siblings)
+/// and the number format (std::fixed, three decimals), so the writers below
+/// list only keys and values.
+class JsonWriter {
+ public:
+  JsonWriter() {
+    out_.precision(3);
+    out_ << std::fixed;
+    Open('{', '}');
+  }
+
+  template <typename T>
+  void Field(const char* key, const T& value) {
+    Key(key);
+    out_ << value;
+  }
+  void Field(const char* key, const std::string& value) {
+    Key(key);
+    out_ << '"' << value << '"';
+  }
+  /// A number list on one line: "key": [1, 2, 3].
+  void Field(const char* key, const std::vector<uint64_t>& values) {
+    Key(key);
+    out_ << '[';
+    for (size_t i = 0; i < values.size(); ++i) {
+      out_ << (i > 0 ? ", " : "") << values[i];
+    }
+    out_ << ']';
+  }
+
+  void BeginObject(const char* key) {
+    Key(key);
+    Open('{', '}');
+  }
+  /// An object element of the enclosing array.
+  void BeginObject() {
+    NextLine();
+    Open('{', '}');
+  }
+  void BeginArray(const char* key) {
+    Key(key);
+    Open('[', ']');
+  }
+  /// Closes the innermost object or array.
+  void End() {
+    const char closer = closers_.back();
+    closers_.pop_back();
+    out_ << '\n' << std::string(2 * closers_.size(), ' ') << closer;
+    first_ = false;
+  }
+  /// Closes the top-level object and returns the document.
+  std::string Finish() {
+    End();
+    out_ << '\n';
+    return out_.str();
+  }
+
+ private:
+  void Open(char opener, char closer) {
+    out_ << opener;
+    closers_.push_back(closer);
+    first_ = true;
+  }
+  void NextLine() {
+    out_ << (first_ ? "\n" : ",\n") << std::string(2 * closers_.size(), ' ');
+    first_ = false;
+  }
+  void Key(const char* key) {
+    NextLine();
+    out_ << '"' << key << "\": ";
+  }
+
+  std::ostringstream out_;
+  std::vector<char> closers_;
+  bool first_ = true;
 };
 
-void AppendJsonKey(std::ostringstream& out, const char* key,
-                   const std::string& indent) {
-  out << indent << '"' << key << "\": ";
+void WriteFields(JsonWriter& w, const BackendBenchStats& s) {
+  w.Field("backend", s.backend);
+  w.Field("queries", s.queries);
+  w.Field("errors", s.errors);
+  w.Field("paths_returned", s.paths_returned);
+  w.Field("total_micros", s.total_micros);
+  w.Field("mean_micros", s.mean_micros);
+  w.Field("max_micros", s.max_micros);
+  w.Field("p50_micros", s.p50_micros);
+  w.Field("p95_micros", s.p95_micros);
+  w.Field("p99_micros", s.p99_micros);
+  w.Field("min_epoch", s.min_epoch);
+  w.Field("max_epoch", s.max_epoch);
+  w.Field("engine_iterations", s.engine_iterations);
 }
 
-/// Nearest-rank percentile (q in [0, 100]) over an unsorted sample set.
-/// Sorts in place; returns 0 for an empty sample.
-double Percentile(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0;
+void WriteFields(JsonWriter& w, const BatchPhaseStats& s) {
+  w.Field("batch_size", s.batch_size);
+  w.Field("requests", s.requests);
+  w.Field("errors", s.errors);
+  w.Field("non_uniform_batches", s.non_uniform_batches);
+  w.Field("sequential_micros", s.sequential_micros);
+  w.Field("batch_micros", s.batch_micros);
+  w.Field("sequential_qps", s.sequential_qps);
+  w.Field("batch_qps", s.batch_qps);
+  w.Field("speedup", s.speedup);
+}
+
+void WriteFields(JsonWriter& w, const DiversePhaseStats& s) {
+  w.Field("requests", s.requests);
+  w.Field("errors", s.errors);
+  w.Field("k", s.k);
+  w.Field("overfetch", s.overfetch);
+  w.Field("theta", s.theta);
+  w.Field("candidates_total", s.candidates_total);
+  w.Field("kept_total", s.kept_total);
+  w.Field("filtered_total", s.filtered_total);
+  w.Field("kept_min", s.kept_min);
+  w.Field("kept_max", s.kept_max);
+  w.Field("mean_pairwise_similarity", s.mean_pairwise_similarity);
+  w.Field("max_pairwise_similarity", s.max_pairwise_similarity);
+  w.Field("ep_raw_entries", s.ep_raw_entries);
+  w.Field("ep_path_nodes", s.ep_path_nodes);
+  w.Field("mfp_compression_ratio", s.mfp_compression_ratio);
+  w.Field("p50_micros", s.p50_micros);
+  w.Field("p95_micros", s.p95_micros);
+  w.Field("p99_micros", s.p99_micros);
+  w.Field("plain_micros", s.plain_micros);
+  w.Field("diverse_micros", s.diverse_micros);
+  w.Field("plain_qps", s.plain_qps);
+  w.Field("diverse_qps", s.diverse_qps);
+  w.Field("overhead", s.overhead);
+}
+
+void WriteFields(JsonWriter& w, const ShardPhaseStats& s) {
+  w.Field("num_shards", s.num_shards);
+  w.Field("requests", s.requests);
+  w.Field("diverse_requests", s.diverse_requests);
+  w.Field("errors", s.errors);
+  w.Field("mismatches", s.mismatches);
+  w.Field("batches_applied", s.batches_applied);
+  w.Field("final_epoch", s.final_epoch);
+  w.Field("direct_partials", s.direct_partials);
+  w.Field("scattered_partials", s.scattered_partials);
+  w.Field("single_shard_queries", s.single_shard_queries);
+  w.Field("cross_shard_queries", s.cross_shard_queries);
+  w.Field("min_subgraphs_per_shard", s.min_subgraphs_per_shard);
+  w.Field("max_subgraphs_per_shard", s.max_subgraphs_per_shard);
+  w.Field("sharded_micros", s.sharded_micros);
+  w.Field("unsharded_micros", s.unsharded_micros);
+  w.Field("sharded_qps", s.sharded_qps);
+  w.Field("unsharded_qps", s.unsharded_qps);
+}
+
+void WriteFields(JsonWriter& w, const ShardBatchPhaseStats& s) {
+  w.Field("num_shards", s.num_shards);
+  w.Field("batch_size", s.batch_size);
+  w.Field("requests", s.requests);
+  w.Field("batches_submitted", s.batches_submitted);
+  w.Field("errors", s.errors);
+  w.Field("mismatches", s.mismatches);
+  w.Field("non_uniform_batches", s.non_uniform_batches);
+  w.Field("partial_cache_hits", s.partial_cache_hits);
+  w.Field("direct_partials", s.direct_partials);
+  w.Field("scattered_partials", s.scattered_partials);
+  w.Field("p50_micros", s.p50_micros);
+  w.Field("p95_micros", s.p95_micros);
+  w.Field("p99_micros", s.p99_micros);
+  w.Field("sharded_batch_micros", s.sharded_batch_micros);
+  w.Field("unsharded_sequential_micros", s.unsharded_sequential_micros);
+  w.Field("sharded_batch_qps", s.sharded_batch_qps);
+  w.Field("unsharded_sequential_qps", s.unsharded_sequential_qps);
+  w.Field("speedup", s.speedup);
+}
+
+void WriteFields(JsonWriter& w, const RemoteShardPhaseStats& s) {
+  w.Field("num_shards", s.num_shards);
+  w.Field("num_replicas", s.num_replicas);
+  w.Field("requests", s.requests);
+  w.Field("diverse_requests", s.diverse_requests);
+  w.Field("batch_size", s.batch_size);
+  w.Field("batches_submitted", s.batches_submitted);
+  w.Field("errors", s.errors);
+  w.Field("mismatches", s.mismatches);
+  w.Field("batches_applied", s.batches_applied);
+  w.Field("final_epoch", s.final_epoch);
+  w.Field("rpc_calls", s.rpc_calls);
+  w.Field("rpc_retries", s.rpc_retries);
+  w.Field("rpc_deadline_expired", s.rpc_deadline_expired);
+  w.Field("worker_restarts", s.worker_restarts);
+  w.Field("replica_catchups", s.replica_catchups);
+  w.Field("reads_by_replica", s.reads_by_replica);
+  w.Field("baseline_r1_qps", s.baseline_r1_qps);
+  w.Field("failover_requests", s.failover_requests);
+  w.Field("failover_errors", s.failover_errors);
+  w.Field("failover_mismatches", s.failover_mismatches);
+  w.Field("partial_cache_hits", s.partial_cache_hits);
+  w.Field("partial_cache_skips", s.partial_cache_skips);
+  w.Field("direct_partials", s.direct_partials);
+  w.Field("scattered_partials", s.scattered_partials);
+  w.Field("remote_micros", s.remote_micros);
+  w.Field("remote_batch_micros", s.remote_batch_micros);
+  w.Field("inprocess_micros", s.inprocess_micros);
+  w.Field("remote_qps", s.remote_qps);
+  w.Field("remote_batch_qps", s.remote_batch_qps);
+  w.Field("inprocess_qps", s.inprocess_qps);
+}
+
+void WriteFields(JsonWriter& w, const OverloadPriorityStats& s) {
+  w.Field("issued", s.issued);
+  w.Field("served", s.served);
+  w.Field("shed_deadline", s.shed_deadline);
+  w.Field("shed_quota", s.shed_quota);
+  w.Field("errors", s.errors);
+  w.Field("goodput_qps", s.goodput_qps);
+  w.Field("p50_micros", s.p50_micros);
+  w.Field("p99_micros", s.p99_micros);
+}
+
+template <typename Stats>
+void WriteObject(JsonWriter& w, const char* key, const Stats& stats) {
+  w.BeginObject(key);
+  WriteFields(w, stats);
+  w.End();
+}
+
+void WriteFields(JsonWriter& w, const OverloadPhaseStats& s) {
+  w.Field("factor", s.factor);
+  w.Field("requests", s.requests);
+  w.Field("queue_capacity", s.queue_capacity);
+  w.Field("per_tenant_quota", s.per_tenant_quota);
+  w.Field("num_tenants", s.num_tenants);
+  w.Field("capacity_qps", s.capacity_qps);
+  w.Field("offered_qps", s.offered_qps);
+  w.Field("admitted", s.admitted);
+  w.Field("shed_deadline", s.shed_deadline);
+  w.Field("shed_quota", s.shed_quota);
+  w.Field("accounted", s.accounted);
+  w.Field("errors", s.errors);
+  w.Field("mismatches", s.mismatches);
+  w.Field("registry_admitted", s.registry_admitted);
+  w.Field("registry_shed_deadline", s.registry_shed_deadline);
+  w.Field("registry_shed_quota", s.registry_shed_quota);
+  w.Field("elapsed_micros", s.elapsed_micros);
+  w.Field("goodput_qps", s.goodput_qps);
+  // Flattened copies of the headline per-priority numbers so single --check
+  // lines can compare them (the checker dereferences paths, it does not
+  // compute across objects).
+  w.Field("interactive_goodput_qps", s.per_priority[0].goodput_qps);
+  w.Field("batch_goodput_qps", s.per_priority[2].goodput_qps);
+  w.Field("interactive_p99_micros", s.per_priority[0].p99_micros);
+  w.Field("batch_p99_micros", s.per_priority[2].p99_micros);
+  w.BeginObject("per_priority");
+  for (size_t p = 0; p < kNumPriorities; ++p) {
+    WriteObject(w, PriorityName(static_cast<RequestPriority>(p)),
+                s.per_priority[p]);
+  }
+  w.End();
+}
+
+void WriteFields(JsonWriter& w, const PhaseMetricsSummary& s) {
+  w.Field("issued_requests", s.issued_requests);
+  w.Field("queries_total", s.queries_total);
+  w.Field("queries_rejected_total", s.queries_rejected_total);
+}
+
+void WriteFields(JsonWriter& w, const BenchMetricsSummary& s) {
+  WriteObject(w, "mixed", s.mixed);
+  w.BeginObject("shard_batch");
+  WriteFields(w, s.shard_batch);
+  w.Field("partial_cache_hits", s.shard_batch.partial_cache_hits);
+  w.End();
+  w.BeginObject("remote_shard");
+  WriteFields(w, s.remote_shard);
+  w.Field("partial_cache_hits", s.remote_shard.partial_cache_hits);
+  w.Field("worker_snapshots", s.worker_snapshots);
+  w.End();
+}
+
+// ---------------------------------------------------------------------------
+// Helpers shared by the phases.
+// ---------------------------------------------------------------------------
+
+/// Traffic seed offsets from BenchOptions::seed: the mixed phase's live
+/// writer, and the replay histories of the shard and remote phases.
+constexpr uint64_t kMixedTrafficSeed = 1;
+constexpr uint64_t kShardReplaySeed = 2;
+constexpr uint64_t kRemoteReplaySeed = 3;
+
+/// What every phase reads: the options, the pristine graph each service is
+/// built over (copied per service), the shared service options, and the
+/// mixed request list — every endpoint pair once per backend, backends
+/// interleaved, so request i goes to backend i % backends.size().
+struct BenchContext {
+  const BenchOptions& options;
+  const Graph& pristine;
+  RoutingServiceOptions service_options;
+  std::vector<RouteRequest> requests;
+};
+
+std::vector<RouteRequest> MakeRequests(const BenchOptions& options,
+                                       const Graph& graph) {
+  std::vector<std::pair<VertexId, VertexId>> endpoints = MakeRandomQueries(
+      graph, options.queries_per_backend, options.seed);
+  std::vector<RouteRequest> requests;
+  requests.reserve(endpoints.size() * options.backends.size());
+  for (const auto& [s, t] : endpoints) {
+    for (const std::string& backend : options.backends) {
+      RouteRequest request;
+      request.source = s;
+      request.target = t;
+      request.options.backend = backend;
+      requests.push_back(std::move(request));
+    }
+  }
+  return requests;
+}
+
+std::vector<RouteRequest> AsDiverse(std::vector<RouteRequest> requests) {
+  for (RouteRequest& request : requests) request.kind = QueryKind::kDiverseKsp;
+  return requests;
+}
+
+/// The shard and remote phases' parity workload: the mixed request list,
+/// plus a kDiverseKsp copy under --diverse (diverse answers must be as
+/// shard-invisible as plain ones).
+std::vector<RouteRequest> ParityRequests(const BenchContext& ctx) {
+  std::vector<RouteRequest> requests = ctx.requests;
+  if (ctx.options.diverse) {
+    std::vector<RouteRequest> diverse = AsDiverse(ctx.requests);
+    requests.insert(requests.end(), diverse.begin(), diverse.end());
+  }
+  return requests;
+}
+
+/// A deployment's options: the shared serving options, assigned through
+/// the ServingOptions base, with the deployment's own fields at defaults.
+template <typename DeploymentOptions>
+DeploymentOptions Derive(const ServingOptions& shared) {
+  DeploymentOptions derived;
+  static_cast<ServingOptions&>(derived) = shared;
+  return derived;
+}
+
+RemoteShardedRoutingServiceOptions RemoteOptions(const BenchContext& ctx,
+                                                 size_t replicas) {
+  auto remote =
+      Derive<RemoteShardedRoutingServiceOptions>(ctx.service_options);
+  remote.num_shards = static_cast<uint32_t>(ctx.options.remote_shards);
+  remote.num_replicas = static_cast<uint32_t>(replicas);
+  remote.remote.worker_binary = ctx.options.worker_binary;
+  return remote;
+}
+
+TrafficModel Traffic(const BenchContext& ctx, uint64_t seed_offset) {
+  TrafficModelOptions traffic;
+  traffic.alpha = ctx.options.alpha;
+  traffic.tau = ctx.options.tau;
+  traffic.seed = ctx.options.seed + seed_offset;
+  // Batches are anchored to the immutable initial weights, so a model over
+  // the pristine graph generates the same history as one over any copy.
+  return TrafficModel(ctx.pristine, traffic);
+}
+
+/// Applies the next `count` batches of `replay` to the reference and then
+/// to the service under test, so both see the identical traffic history.
+/// Returns the batches both accepted; appends each batch to `history` when
+/// given.
+size_t ApplyReplay(TrafficModel& replay, size_t count,
+                   RoutingServiceInterface& reference,
+                   RoutingServiceInterface& tested,
+                   std::vector<std::vector<WeightUpdate>>* history = nullptr) {
+  size_t applied = 0;
+  for (size_t b = 0; b < count; ++b) {
+    std::vector<WeightUpdate> batch = replay.NextBatch();
+    bool ok = reference.ApplyTrafficBatch(batch).ok();
+    ok = tested.ApplyTrafficBatch(batch).ok() && ok;
+    if (ok) ++applied;
+    if (history != nullptr) history->push_back(std::move(batch));
+  }
+  return applied;
+}
+
+double Qps(size_t requests, double micros) {
+  return micros > 0 ? static_cast<double>(requests) / (micros / 1e6) : 0;
+}
+
+struct Percentiles {
+  double p50 = 0;
+  double p95 = 0;
+  double p99 = 0;
+};
+
+/// Nearest-rank percentiles over an unsorted sample set (sorted in place;
+/// all 0 for an empty sample).
+Percentiles ComputePercentiles(std::vector<double>& samples) {
+  if (samples.empty()) return {};
   std::sort(samples.begin(), samples.end());
-  size_t index =
-      static_cast<size_t>(std::ceil(q / 100.0 * samples.size()));
-  if (index > 0) --index;
-  if (index >= samples.size()) index = samples.size() - 1;
-  return samples[index];
+  auto rank = [&samples](double q) {
+    size_t index =
+        static_cast<size_t>(std::ceil(q / 100.0 * samples.size()));
+    if (index > 0) --index;
+    return samples[std::min(index, samples.size() - 1)];
+  };
+  return {rank(50), rank(95), rank(99)};
 }
 
-/// One timed sequential Query pass over a request list. All parity phases
-/// run this once per service — the service only has to speak
-/// RoutingServiceInterface, so plain, sharded and remote services share the
-/// identical harness code.
+template <typename Stats>
+void SetPercentiles(std::vector<double>& samples, Stats& stats) {
+  Percentiles p = ComputePercentiles(samples);
+  stats.p50_micros = p.p50;
+  stats.p95_micros = p.p95;
+  stats.p99_micros = p.p99;
+}
+
+/// Registry counter deltas of one service between two scrapes, next to the
+/// requests the harness issued to it in between.
+PhaseMetricsSummary MetricsDelta(const MetricsSnapshot& before,
+                                 const MetricsSnapshot& after,
+                                 size_t issued) {
+  auto delta = [&](const char* name) {
+    return after.CounterTotal(name) - before.CounterTotal(name);
+  };
+  PhaseMetricsSummary summary;
+  summary.issued_requests = issued;
+  summary.queries_rejected_total = delta("queries_rejected_total");
+  summary.queries_total =
+      delta("queries_ok_total") + summary.queries_rejected_total;
+  summary.partial_cache_hits = delta("partial_cache_hits_total");
+  return summary;
+}
+
+/// Adds a service's registry snapshot, tagged service=`name`, to the
+/// --metrics-out export.
+void ExportMetrics(MetricsSnapshot snapshot, const char* name,
+                   MetricsSnapshot& fleet_export) {
+  snapshot.AddLabel("service", name);
+  fleet_export.Merge(snapshot);
+}
+
+/// One timed pass over a request list: sequential Query calls when
+/// batch_size is 0, otherwise QueryBatch calls of batch_size requests. The
+/// service only has to speak RoutingServiceInterface, so plain, sharded and
+/// remote services share the identical harness code.
 struct QueryPassResult {
   std::vector<std::vector<Path>> paths;
   std::vector<char> answered;
   size_t errors = 0;
+  /// Requests the service accounted for: every Query call, plus every item
+  /// of a batch call that returned a response.
+  size_t issued = 0;
+  /// QueryBatch calls made, and those whose items disagreed on the epoch.
+  size_t batches = 0;
+  size_t non_uniform_batches = 0;
   double elapsed_micros = 0;
 };
 
 QueryPassResult RunQueryPass(RoutingServiceInterface& service,
-                             const std::vector<RouteRequest>& requests) {
+                             const std::vector<RouteRequest>& requests,
+                             size_t batch_size = 0) {
   QueryPassResult result;
   result.paths.resize(requests.size());
   result.answered.assign(requests.size(), 0);
   WallTimer timer;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    Result<RouteResponse> response = service.Query(requests[i]);
-    if (!response.ok()) {
-      ++result.errors;
-      continue;
+  if (batch_size == 0) {
+    for (size_t i = 0; i < requests.size(); ++i) {
+      Result<RouteResponse> response = service.Query(requests[i]);
+      if (!response.ok()) {
+        ++result.errors;
+        continue;
+      }
+      result.answered[i] = 1;
+      result.paths[i] = std::move(response).value().paths;
     }
-    result.answered[i] = 1;
-    result.paths[i] = std::move(response).value().paths;
+    result.issued = requests.size();
+  } else {
+    for (size_t begin = 0; begin < requests.size(); begin += batch_size) {
+      const size_t count = std::min(batch_size, requests.size() - begin);
+      Result<RouteBatchResponse> batched = service.QueryBatch(
+          std::span<const RouteRequest>(requests.data() + begin, count));
+      ++result.batches;
+      if (!batched.ok()) {
+        result.errors += count;
+        continue;
+      }
+      RouteBatchResponse& b = batched.value();
+      result.issued += b.items.size();
+      bool uniform = true;
+      for (size_t j = 0; j < b.items.size(); ++j) {
+        if (!b.items[j].status.ok()) {
+          ++result.errors;
+          continue;
+        }
+        if (b.items[j].response.epoch != b.epoch) uniform = false;
+        result.answered[begin + j] = 1;
+        result.paths[begin + j] = std::move(b.items[j].response.paths);
+      }
+      if (!uniform) ++result.non_uniform_batches;
+    }
   }
   result.elapsed_micros = timer.ElapsedMicros();
   return result;
@@ -104,418 +558,701 @@ size_t CountMismatches(const QueryPassResult& expected,
   return mismatches;
 }
 
-/// queries_ok_total + queries_rejected_total across every label set: the
-/// "one accounting event per issued request" side of the CI invariant.
-uint64_t QueriesTotal(const MetricsSnapshot& snapshot) {
-  return snapshot.CounterTotal("queries_ok_total") +
-         snapshot.CounterTotal("queries_rejected_total");
+// ---------------------------------------------------------------------------
+// Phases, in the order RunMixedBench runs them.
+// ---------------------------------------------------------------------------
+
+/// Mixed phase: --threads readers drain the request list through Query
+/// while one writer spreads --batches traffic batches across the run, so
+/// early and late queries land on different epochs. Fills the report's
+/// top-level update fields and per-backend stats; returns the requests
+/// issued.
+size_t RunMixedPhase(const BenchContext& ctx, RoutingService& service,
+                     BenchReport& report) {
+  const BenchOptions& options = ctx.options;
+  const std::vector<RouteRequest>& requests = ctx.requests;
+  const size_t num_backends = options.backends.size();
+  std::vector<BackendBenchStats> stats(num_backends);
+  std::vector<std::vector<double>> latency_samples(num_backends);
+  for (size_t b = 0; b < num_backends; ++b) {
+    stats[b].backend = options.backends[b];
+    stats[b].min_epoch = std::numeric_limits<uint64_t>::max();
+    latency_samples[b].reserve(options.queries_per_backend);
+  }
+  Mutex stats_mu{"bench_runner::stats_mu"};
+  std::atomic<size_t> next_item{0};
+
+  auto reader = [&]() {
+    for (;;) {
+      size_t i = next_item.fetch_add(1, std::memory_order_relaxed);
+      if (i >= requests.size()) return;
+      Result<RouteResponse> response = service.Query(requests[i]);
+      MutexLock guard(stats_mu);
+      BackendBenchStats& s = stats[i % num_backends];
+      ++s.queries;
+      if (!response.ok()) {
+        ++s.errors;
+        continue;
+      }
+      const RouteResponse& r = response.value();
+      s.paths_returned += r.paths.size();
+      latency_samples[i % num_backends].push_back(r.stats.solve_micros);
+      s.total_micros += r.stats.solve_micros;
+      s.max_micros = std::max(s.max_micros, r.stats.solve_micros);
+      s.min_epoch = std::min(s.min_epoch, r.epoch);
+      s.max_epoch = std::max(s.max_epoch, r.epoch);
+      s.engine_iterations += r.stats.engine.iterations;
+    }
+  };
+
+  // The writer owns the report's update fields until it is joined.
+  TrafficModel traffic = Traffic(ctx, kMixedTrafficSeed);
+  std::vector<double> update_samples;
+  // kspdg-lint: allow(raw-thread) — bench load generators, joined below.
+  std::thread writer([&]() {
+    for (size_t batch = 0; batch < options.num_batches; ++batch) {
+      while (next_item.load(std::memory_order_relaxed) <
+             (batch + 1) * requests.size() / (options.num_batches + 1)) {
+        // Coarse pacing only: sleep rather than spin so the waiting writer
+        // does not steal cycles from the reader latencies being measured.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::vector<WeightUpdate> updates = traffic.NextBatch();
+      WallTimer timer;
+      Result<TrafficBatchResult> applied = service.ApplyTrafficBatch(updates);
+      if (!applied.ok()) {
+        ++report.batch_errors;
+        continue;
+      }
+      const double micros = timer.ElapsedMicros();
+      report.update_total_micros += micros;
+      update_samples.push_back(micros);
+      ++report.batches_applied;
+      report.updates_applied += applied.value().dtlp.updates_applied;
+      report.cands_subgraphs_rebuilt += applied.value().cands.subgraphs_rebuilt;
+      report.cands_pair_paths_recomputed +=
+          applied.value().cands.pair_paths_recomputed;
+      report.cands_rebuild_micros += applied.value().cands_micros;
+    }
+  });
+
+  std::vector<std::thread> readers;  // kspdg-lint: allow(raw-thread)
+  size_t num_threads = std::max<size_t>(1, options.query_threads);
+  readers.reserve(num_threads);
+  for (size_t i = 0; i < num_threads; ++i) readers.emplace_back(reader);
+  for (std::thread& t : readers) t.join();  // kspdg-lint: allow(raw-thread)
+  writer.join();
+
+  Percentiles update = ComputePercentiles(update_samples);
+  report.update_p50_micros = update.p50;
+  report.update_p95_micros = update.p95;
+  report.update_p99_micros = update.p99;
+  report.final_epoch = service.CurrentEpoch();
+  for (size_t b = 0; b < num_backends; ++b) {
+    BackendBenchStats& s = stats[b];
+    if (s.queries > s.errors) {
+      s.mean_micros = s.total_micros / static_cast<double>(s.queries - s.errors);
+    }
+    SetPercentiles(latency_samples[b], s);
+    if (s.min_epoch == std::numeric_limits<uint64_t>::max()) s.min_epoch = 0;
+  }
+  report.backends = std::move(stats);
+  return requests.size();
 }
 
-}  // namespace
-
-std::string BenchReport::ToJson() const {
-  std::ostringstream out;
-  out.precision(3);
-  out << std::fixed;
-  out << "{\n";
-  AppendJsonKey(out, "dataset", "  ");
-  out << '"' << dataset << "\",\n";
-  AppendJsonKey(out, "num_vertices", "  ");
-  out << num_vertices << ",\n";
-  AppendJsonKey(out, "num_edges", "  ");
-  out << num_edges << ",\n";
-  AppendJsonKey(out, "num_subgraphs", "  ");
-  out << num_subgraphs << ",\n";
-  AppendJsonKey(out, "k", "  ");
-  out << k << ",\n";
-  AppendJsonKey(out, "index_build_micros", "  ");
-  out << index_build_micros << ",\n";
-  AppendJsonKey(out, "batches_applied", "  ");
-  out << batches_applied << ",\n";
-  AppendJsonKey(out, "batch_errors", "  ");
-  out << batch_errors << ",\n";
-  AppendJsonKey(out, "updates_applied", "  ");
-  out << updates_applied << ",\n";
-  AppendJsonKey(out, "update_total_micros", "  ");
-  out << update_total_micros << ",\n";
-  AppendJsonKey(out, "update_p50_micros", "  ");
-  out << update_p50_micros << ",\n";
-  AppendJsonKey(out, "update_p95_micros", "  ");
-  out << update_p95_micros << ",\n";
-  AppendJsonKey(out, "update_p99_micros", "  ");
-  out << update_p99_micros << ",\n";
-  AppendJsonKey(out, "cands_subgraphs_rebuilt", "  ");
-  out << cands_subgraphs_rebuilt << ",\n";
-  AppendJsonKey(out, "cands_pair_paths_recomputed", "  ");
-  out << cands_pair_paths_recomputed << ",\n";
-  AppendJsonKey(out, "cands_rebuild_micros", "  ");
-  out << cands_rebuild_micros << ",\n";
-  AppendJsonKey(out, "final_epoch", "  ");
-  out << final_epoch << ",\n";
-  AppendJsonKey(out, "batch", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "batch_size", "    ");
-  out << batch.batch_size << ",\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << batch.requests << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << batch.errors << ",\n";
-  AppendJsonKey(out, "non_uniform_batches", "    ");
-  out << batch.non_uniform_batches << ",\n";
-  AppendJsonKey(out, "sequential_micros", "    ");
-  out << batch.sequential_micros << ",\n";
-  AppendJsonKey(out, "batch_micros", "    ");
-  out << batch.batch_micros << ",\n";
-  AppendJsonKey(out, "sequential_qps", "    ");
-  out << batch.sequential_qps << ",\n";
-  AppendJsonKey(out, "batch_qps", "    ");
-  out << batch.batch_qps << ",\n";
-  AppendJsonKey(out, "speedup", "    ");
-  out << batch.speedup << "\n";
-  out << "  },\n";
-  AppendJsonKey(out, "diverse", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << diverse.requests << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << diverse.errors << ",\n";
-  AppendJsonKey(out, "k", "    ");
-  out << diverse.k << ",\n";
-  AppendJsonKey(out, "overfetch", "    ");
-  out << diverse.overfetch << ",\n";
-  AppendJsonKey(out, "theta", "    ");
-  out << diverse.theta << ",\n";
-  AppendJsonKey(out, "candidates_total", "    ");
-  out << diverse.candidates_total << ",\n";
-  AppendJsonKey(out, "kept_total", "    ");
-  out << diverse.kept_total << ",\n";
-  AppendJsonKey(out, "filtered_total", "    ");
-  out << diverse.filtered_total << ",\n";
-  AppendJsonKey(out, "kept_min", "    ");
-  out << diverse.kept_min << ",\n";
-  AppendJsonKey(out, "kept_max", "    ");
-  out << diverse.kept_max << ",\n";
-  AppendJsonKey(out, "mean_pairwise_similarity", "    ");
-  out << diverse.mean_pairwise_similarity << ",\n";
-  AppendJsonKey(out, "max_pairwise_similarity", "    ");
-  out << diverse.max_pairwise_similarity << ",\n";
-  AppendJsonKey(out, "ep_raw_entries", "    ");
-  out << diverse.ep_raw_entries << ",\n";
-  AppendJsonKey(out, "ep_path_nodes", "    ");
-  out << diverse.ep_path_nodes << ",\n";
-  AppendJsonKey(out, "mfp_compression_ratio", "    ");
-  out << diverse.mfp_compression_ratio << ",\n";
-  AppendJsonKey(out, "p50_micros", "    ");
-  out << diverse.p50_micros << ",\n";
-  AppendJsonKey(out, "p95_micros", "    ");
-  out << diverse.p95_micros << ",\n";
-  AppendJsonKey(out, "p99_micros", "    ");
-  out << diverse.p99_micros << ",\n";
-  AppendJsonKey(out, "plain_micros", "    ");
-  out << diverse.plain_micros << ",\n";
-  AppendJsonKey(out, "diverse_micros", "    ");
-  out << diverse.diverse_micros << ",\n";
-  AppendJsonKey(out, "plain_qps", "    ");
-  out << diverse.plain_qps << ",\n";
-  AppendJsonKey(out, "diverse_qps", "    ");
-  out << diverse.diverse_qps << ",\n";
-  AppendJsonKey(out, "overhead", "    ");
-  out << diverse.overhead << "\n";
-  out << "  },\n";
-  AppendJsonKey(out, "shard", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "num_shards", "    ");
-  out << shard.num_shards << ",\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << shard.requests << ",\n";
-  AppendJsonKey(out, "diverse_requests", "    ");
-  out << shard.diverse_requests << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << shard.errors << ",\n";
-  AppendJsonKey(out, "mismatches", "    ");
-  out << shard.mismatches << ",\n";
-  AppendJsonKey(out, "batches_applied", "    ");
-  out << shard.batches_applied << ",\n";
-  AppendJsonKey(out, "final_epoch", "    ");
-  out << shard.final_epoch << ",\n";
-  AppendJsonKey(out, "direct_partials", "    ");
-  out << shard.direct_partials << ",\n";
-  AppendJsonKey(out, "scattered_partials", "    ");
-  out << shard.scattered_partials << ",\n";
-  AppendJsonKey(out, "single_shard_queries", "    ");
-  out << shard.single_shard_queries << ",\n";
-  AppendJsonKey(out, "cross_shard_queries", "    ");
-  out << shard.cross_shard_queries << ",\n";
-  AppendJsonKey(out, "min_subgraphs_per_shard", "    ");
-  out << shard.min_subgraphs_per_shard << ",\n";
-  AppendJsonKey(out, "max_subgraphs_per_shard", "    ");
-  out << shard.max_subgraphs_per_shard << ",\n";
-  AppendJsonKey(out, "sharded_micros", "    ");
-  out << shard.sharded_micros << ",\n";
-  AppendJsonKey(out, "unsharded_micros", "    ");
-  out << shard.unsharded_micros << ",\n";
-  AppendJsonKey(out, "sharded_qps", "    ");
-  out << shard.sharded_qps << ",\n";
-  AppendJsonKey(out, "unsharded_qps", "    ");
-  out << shard.unsharded_qps << "\n";
-  out << "  },\n";
-  AppendJsonKey(out, "shard_batch", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "num_shards", "    ");
-  out << shard_batch.num_shards << ",\n";
-  AppendJsonKey(out, "batch_size", "    ");
-  out << shard_batch.batch_size << ",\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << shard_batch.requests << ",\n";
-  AppendJsonKey(out, "batches_submitted", "    ");
-  out << shard_batch.batches_submitted << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << shard_batch.errors << ",\n";
-  AppendJsonKey(out, "mismatches", "    ");
-  out << shard_batch.mismatches << ",\n";
-  AppendJsonKey(out, "non_uniform_batches", "    ");
-  out << shard_batch.non_uniform_batches << ",\n";
-  AppendJsonKey(out, "partial_cache_hits", "    ");
-  out << shard_batch.partial_cache_hits << ",\n";
-  AppendJsonKey(out, "direct_partials", "    ");
-  out << shard_batch.direct_partials << ",\n";
-  AppendJsonKey(out, "scattered_partials", "    ");
-  out << shard_batch.scattered_partials << ",\n";
-  AppendJsonKey(out, "p50_micros", "    ");
-  out << shard_batch.p50_micros << ",\n";
-  AppendJsonKey(out, "p95_micros", "    ");
-  out << shard_batch.p95_micros << ",\n";
-  AppendJsonKey(out, "p99_micros", "    ");
-  out << shard_batch.p99_micros << ",\n";
-  AppendJsonKey(out, "sharded_batch_micros", "    ");
-  out << shard_batch.sharded_batch_micros << ",\n";
-  AppendJsonKey(out, "unsharded_sequential_micros", "    ");
-  out << shard_batch.unsharded_sequential_micros << ",\n";
-  AppendJsonKey(out, "sharded_batch_qps", "    ");
-  out << shard_batch.sharded_batch_qps << ",\n";
-  AppendJsonKey(out, "unsharded_sequential_qps", "    ");
-  out << shard_batch.unsharded_sequential_qps << ",\n";
-  AppendJsonKey(out, "speedup", "    ");
-  out << shard_batch.speedup << "\n";
-  out << "  },\n";
-  AppendJsonKey(out, "remote_shard", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "num_shards", "    ");
-  out << remote_shard.num_shards << ",\n";
-  AppendJsonKey(out, "num_replicas", "    ");
-  out << remote_shard.num_replicas << ",\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << remote_shard.requests << ",\n";
-  AppendJsonKey(out, "diverse_requests", "    ");
-  out << remote_shard.diverse_requests << ",\n";
-  AppendJsonKey(out, "batch_size", "    ");
-  out << remote_shard.batch_size << ",\n";
-  AppendJsonKey(out, "batches_submitted", "    ");
-  out << remote_shard.batches_submitted << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << remote_shard.errors << ",\n";
-  AppendJsonKey(out, "mismatches", "    ");
-  out << remote_shard.mismatches << ",\n";
-  AppendJsonKey(out, "batches_applied", "    ");
-  out << remote_shard.batches_applied << ",\n";
-  AppendJsonKey(out, "final_epoch", "    ");
-  out << remote_shard.final_epoch << ",\n";
-  AppendJsonKey(out, "rpc_calls", "    ");
-  out << remote_shard.rpc_calls << ",\n";
-  AppendJsonKey(out, "rpc_retries", "    ");
-  out << remote_shard.rpc_retries << ",\n";
-  AppendJsonKey(out, "rpc_deadline_expired", "    ");
-  out << remote_shard.rpc_deadline_expired << ",\n";
-  AppendJsonKey(out, "worker_restarts", "    ");
-  out << remote_shard.worker_restarts << ",\n";
-  AppendJsonKey(out, "replica_catchups", "    ");
-  out << remote_shard.replica_catchups << ",\n";
-  AppendJsonKey(out, "reads_by_replica", "    ");
-  out << "[";
-  for (size_t i = 0; i < remote_shard.reads_by_replica.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << remote_shard.reads_by_replica[i];
+/// Batch phase: the request list answered twice with no concurrent writer —
+/// sequential Query calls vs QueryBatch — so the wall-clock difference
+/// isolates what batching buys (single lock acquisition, pooled worker
+/// scratch, parallel execution).
+BatchPhaseStats RunBatchPhase(const BenchContext& ctx, RoutingService& service,
+                              size_t& issued) {
+  BatchPhaseStats phase;
+  phase.batch_size = ctx.options.batch_size;
+  phase.requests = ctx.requests.size();
+  QueryPassResult sequential = RunQueryPass(service, ctx.requests);
+  QueryPassResult batched =
+      RunQueryPass(service, ctx.requests, phase.batch_size);
+  issued += sequential.issued + batched.issued;
+  phase.errors = sequential.errors + batched.errors;
+  phase.non_uniform_batches = batched.non_uniform_batches;
+  phase.sequential_micros = sequential.elapsed_micros;
+  phase.batch_micros = batched.elapsed_micros;
+  phase.sequential_qps = Qps(phase.requests, phase.sequential_micros);
+  phase.batch_qps = Qps(phase.requests, phase.batch_micros);
+  if (phase.batch_micros > 0) {
+    phase.speedup = phase.sequential_micros / phase.batch_micros;
   }
-  out << "],\n";
-  AppendJsonKey(out, "baseline_r1_qps", "    ");
-  out << remote_shard.baseline_r1_qps << ",\n";
-  AppendJsonKey(out, "failover_requests", "    ");
-  out << remote_shard.failover_requests << ",\n";
-  AppendJsonKey(out, "failover_errors", "    ");
-  out << remote_shard.failover_errors << ",\n";
-  AppendJsonKey(out, "failover_mismatches", "    ");
-  out << remote_shard.failover_mismatches << ",\n";
-  AppendJsonKey(out, "partial_cache_hits", "    ");
-  out << remote_shard.partial_cache_hits << ",\n";
-  AppendJsonKey(out, "partial_cache_skips", "    ");
-  out << remote_shard.partial_cache_skips << ",\n";
-  AppendJsonKey(out, "direct_partials", "    ");
-  out << remote_shard.direct_partials << ",\n";
-  AppendJsonKey(out, "scattered_partials", "    ");
-  out << remote_shard.scattered_partials << ",\n";
-  AppendJsonKey(out, "remote_micros", "    ");
-  out << remote_shard.remote_micros << ",\n";
-  AppendJsonKey(out, "remote_batch_micros", "    ");
-  out << remote_shard.remote_batch_micros << ",\n";
-  AppendJsonKey(out, "inprocess_micros", "    ");
-  out << remote_shard.inprocess_micros << ",\n";
-  AppendJsonKey(out, "remote_qps", "    ");
-  out << remote_shard.remote_qps << ",\n";
-  AppendJsonKey(out, "remote_batch_qps", "    ");
-  out << remote_shard.remote_batch_qps << ",\n";
-  AppendJsonKey(out, "inprocess_qps", "    ");
-  out << remote_shard.inprocess_qps << "\n";
-  out << "  },\n";
-  AppendJsonKey(out, "overload", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "factor", "    ");
-  out << overload.factor << ",\n";
-  AppendJsonKey(out, "requests", "    ");
-  out << overload.requests << ",\n";
-  AppendJsonKey(out, "queue_capacity", "    ");
-  out << overload.queue_capacity << ",\n";
-  AppendJsonKey(out, "per_tenant_quota", "    ");
-  out << overload.per_tenant_quota << ",\n";
-  AppendJsonKey(out, "num_tenants", "    ");
-  out << overload.num_tenants << ",\n";
-  AppendJsonKey(out, "capacity_qps", "    ");
-  out << overload.capacity_qps << ",\n";
-  AppendJsonKey(out, "offered_qps", "    ");
-  out << overload.offered_qps << ",\n";
-  AppendJsonKey(out, "admitted", "    ");
-  out << overload.admitted << ",\n";
-  AppendJsonKey(out, "shed_deadline", "    ");
-  out << overload.shed_deadline << ",\n";
-  AppendJsonKey(out, "shed_quota", "    ");
-  out << overload.shed_quota << ",\n";
-  AppendJsonKey(out, "accounted", "    ");
-  out << overload.accounted << ",\n";
-  AppendJsonKey(out, "errors", "    ");
-  out << overload.errors << ",\n";
-  AppendJsonKey(out, "mismatches", "    ");
-  out << overload.mismatches << ",\n";
-  AppendJsonKey(out, "registry_admitted", "    ");
-  out << overload.registry_admitted << ",\n";
-  AppendJsonKey(out, "registry_shed_deadline", "    ");
-  out << overload.registry_shed_deadline << ",\n";
-  AppendJsonKey(out, "registry_shed_quota", "    ");
-  out << overload.registry_shed_quota << ",\n";
-  AppendJsonKey(out, "elapsed_micros", "    ");
-  out << overload.elapsed_micros << ",\n";
-  AppendJsonKey(out, "goodput_qps", "    ");
-  out << overload.goodput_qps << ",\n";
-  // Flattened copies of the headline per-priority numbers so single
-  // --check lines can compare them (the checker dereferences paths, it
-  // does not compute across objects).
-  AppendJsonKey(out, "interactive_goodput_qps", "    ");
-  out << overload.per_priority[0].goodput_qps << ",\n";
-  AppendJsonKey(out, "batch_goodput_qps", "    ");
-  out << overload.per_priority[2].goodput_qps << ",\n";
-  AppendJsonKey(out, "interactive_p99_micros", "    ");
-  out << overload.per_priority[0].p99_micros << ",\n";
-  AppendJsonKey(out, "batch_p99_micros", "    ");
-  out << overload.per_priority[2].p99_micros << ",\n";
-  AppendJsonKey(out, "per_priority", "    ");
-  out << "{\n";
-  for (size_t p = 0; p < 3; ++p) {
-    const OverloadPriorityStats& slice = overload.per_priority[p];
-    AppendJsonKey(out, PriorityName(static_cast<RequestPriority>(p)),
-                  "      ");
-    out << "{\n";
-    AppendJsonKey(out, "issued", "        ");
-    out << slice.issued << ",\n";
-    AppendJsonKey(out, "served", "        ");
-    out << slice.served << ",\n";
-    AppendJsonKey(out, "shed_deadline", "        ");
-    out << slice.shed_deadline << ",\n";
-    AppendJsonKey(out, "shed_quota", "        ");
-    out << slice.shed_quota << ",\n";
-    AppendJsonKey(out, "errors", "        ");
-    out << slice.errors << ",\n";
-    AppendJsonKey(out, "goodput_qps", "        ");
-    out << slice.goodput_qps << ",\n";
-    AppendJsonKey(out, "p50_micros", "        ");
-    out << slice.p50_micros << ",\n";
-    AppendJsonKey(out, "p99_micros", "        ");
-    out << slice.p99_micros << "\n";
-    out << "      }" << (p + 1 < 3 ? "," : "") << "\n";
-  }
-  out << "    }\n";
-  out << "  },\n";
-  AppendJsonKey(out, "metrics", "  ");
-  out << "{\n";
-  AppendJsonKey(out, "mixed", "    ");
-  out << "{\n";
-  AppendJsonKey(out, "issued_requests", "      ");
-  out << metrics.mixed.issued_requests << ",\n";
-  AppendJsonKey(out, "queries_total", "      ");
-  out << metrics.mixed.queries_total << ",\n";
-  AppendJsonKey(out, "queries_rejected_total", "      ");
-  out << metrics.mixed.queries_rejected_total << "\n";
-  out << "    },\n";
-  AppendJsonKey(out, "shard_batch", "    ");
-  out << "{\n";
-  AppendJsonKey(out, "issued_requests", "      ");
-  out << metrics.shard_batch.issued_requests << ",\n";
-  AppendJsonKey(out, "queries_total", "      ");
-  out << metrics.shard_batch.queries_total << ",\n";
-  AppendJsonKey(out, "queries_rejected_total", "      ");
-  out << metrics.shard_batch.queries_rejected_total << ",\n";
-  AppendJsonKey(out, "partial_cache_hits", "      ");
-  out << metrics.shard_batch.partial_cache_hits << "\n";
-  out << "    },\n";
-  AppendJsonKey(out, "remote_shard", "    ");
-  out << "{\n";
-  AppendJsonKey(out, "issued_requests", "      ");
-  out << metrics.remote_shard.issued_requests << ",\n";
-  AppendJsonKey(out, "queries_total", "      ");
-  out << metrics.remote_shard.queries_total << ",\n";
-  AppendJsonKey(out, "queries_rejected_total", "      ");
-  out << metrics.remote_shard.queries_rejected_total << ",\n";
-  AppendJsonKey(out, "partial_cache_hits", "      ");
-  out << metrics.remote_shard.partial_cache_hits << ",\n";
-  AppendJsonKey(out, "worker_snapshots", "      ");
-  out << metrics.worker_snapshots << "\n";
-  out << "    }\n";
-  out << "  },\n";
-  AppendJsonKey(out, "backends", "  ");
-  out << "[\n";
-  for (size_t i = 0; i < backends.size(); ++i) {
-    const BackendBenchStats& b = backends[i];
-    out << "    {\n";
-    AppendJsonKey(out, "backend", "      ");
-    out << '"' << b.backend << "\",\n";
-    AppendJsonKey(out, "queries", "      ");
-    out << b.queries << ",\n";
-    AppendJsonKey(out, "errors", "      ");
-    out << b.errors << ",\n";
-    AppendJsonKey(out, "paths_returned", "      ");
-    out << b.paths_returned << ",\n";
-    AppendJsonKey(out, "total_micros", "      ");
-    out << b.total_micros << ",\n";
-    AppendJsonKey(out, "mean_micros", "      ");
-    out << b.mean_micros << ",\n";
-    AppendJsonKey(out, "max_micros", "      ");
-    out << b.max_micros << ",\n";
-    AppendJsonKey(out, "p50_micros", "      ");
-    out << b.p50_micros << ",\n";
-    AppendJsonKey(out, "p95_micros", "      ");
-    out << b.p95_micros << ",\n";
-    AppendJsonKey(out, "p99_micros", "      ");
-    out << b.p99_micros << ",\n";
-    AppendJsonKey(out, "min_epoch", "      ");
-    out << b.min_epoch << ",\n";
-    AppendJsonKey(out, "max_epoch", "      ");
-    out << b.max_epoch << ",\n";
-    AppendJsonKey(out, "engine_iterations", "      ");
-    out << b.engine_iterations << "\n";
-    out << "    }" << (i + 1 < backends.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
+  return phase;
 }
 
-Result<BenchReport> RunMixedBench(const BenchOptions& options) {
+/// Diverse phase: the request list answered once as plain kKsp and once as
+/// kDiverseKsp, with no concurrent writer, so `overhead` isolates the
+/// query-path cost of the §4 pipeline (over-fetch, per-query EP-Index/MFP
+/// build, MinHash filter) against plain KSP.
+DiversePhaseStats RunDiversePhase(const BenchContext& ctx,
+                                  RoutingService& service, size_t& issued) {
+  DiversePhaseStats phase;
+  phase.k = ctx.options.k;
+  phase.overfetch = ctx.options.diverse_overfetch;
+  phase.theta = ctx.options.diverse_theta;
+  phase.requests = ctx.requests.size();
+
+  QueryPassResult plain = RunQueryPass(service, ctx.requests);
+  phase.errors = plain.errors;
+  phase.plain_micros = plain.elapsed_micros;
+
+  const std::vector<RouteRequest> diverse_requests = AsDiverse(ctx.requests);
+  std::vector<double> samples;
+  samples.reserve(diverse_requests.size());
+  phase.kept_min = std::numeric_limits<size_t>::max();
+  double mean_sum = 0;
+  WallTimer diverse_timer;
+  for (const RouteRequest& request : diverse_requests) {
+    Result<RouteResponse> response = service.Query(request);
+    if (!response.ok() || !response.value().diverse.has_value()) {
+      ++phase.errors;
+      continue;
+    }
+    const DiverseStats& d = *response.value().diverse;
+    phase.candidates_total += d.candidates;
+    phase.kept_total += d.kept;
+    phase.filtered_total += d.filtered;
+    phase.kept_min = std::min<size_t>(phase.kept_min, d.kept);
+    phase.kept_max = std::max<size_t>(phase.kept_max, d.kept);
+    mean_sum += d.mean_pairwise_similarity;
+    phase.max_pairwise_similarity =
+        std::max(phase.max_pairwise_similarity, d.max_pairwise_similarity);
+    phase.ep_raw_entries += d.ep_raw_entries;
+    phase.ep_path_nodes += d.ep_path_nodes;
+    samples.push_back(response.value().stats.solve_micros);
+  }
+  phase.diverse_micros = diverse_timer.ElapsedMicros();
+  issued += plain.issued + diverse_requests.size();
+
+  if (samples.empty()) {
+    phase.kept_min = 0;
+  } else {
+    phase.mean_pairwise_similarity =
+        mean_sum / static_cast<double>(samples.size());
+  }
+  if (phase.ep_raw_entries > 0) {
+    phase.mfp_compression_ratio = static_cast<double>(phase.ep_path_nodes) /
+                                  static_cast<double>(phase.ep_raw_entries);
+  }
+  SetPercentiles(samples, phase);
+  phase.plain_qps = Qps(phase.requests, phase.plain_micros);
+  phase.diverse_qps = Qps(phase.requests, phase.diverse_micros);
+  if (phase.plain_micros > 0) {
+    phase.overhead = phase.diverse_micros / phase.plain_micros;
+  }
+  return phase;
+}
+
+/// Shard-batch phase: the shard phase's request list goes to the sharded
+/// service asynchronously — every batch_size requests become one
+/// SubmitBatch ticket, issued back-to-back so request production overlaps
+/// solving — and every answer is checked against the unsharded sequential
+/// reference. The reference timing is that sequential pass, so the speedup
+/// reads "sharded async batches vs one thread asking one unsharded service
+/// politely". `metrics` receives the sharded registry's delta.
+ShardBatchPhaseStats RunShardBatchPhase(
+    const BenchContext& ctx, ShardedRoutingService& sharded,
+    const std::vector<RouteRequest>& requests, const QueryPassResult& expected,
+    PhaseMetricsSummary& metrics) {
+  const size_t batch_size = ctx.options.batch_size;
+  ShardBatchPhaseStats phase;
+  phase.num_shards = ctx.options.shards;
+  phase.batch_size = batch_size;
+  phase.requests = requests.size();
+  phase.unsharded_sequential_micros = expected.elapsed_micros;
+  ShardedServiceCounters before = sharded.counters();
+  MetricsSnapshot registry_before = sharded.Metrics();
+  size_t issued = 0;
+
+  std::vector<BatchTicket> tickets;
+  tickets.reserve(requests.size() / batch_size + 1);
+  WallTimer batch_timer;
+  for (size_t begin = 0; begin < requests.size(); begin += batch_size) {
+    size_t count = std::min(batch_size, requests.size() - begin);
+    tickets.push_back(sharded.SubmitBatch(std::vector<RouteRequest>(
+        requests.begin() + begin, requests.begin() + begin + count)));
+  }
+  phase.batches_submitted = tickets.size();
+  std::vector<double> item_samples;
+  item_samples.reserve(requests.size());
+  size_t next = 0;
+  for (const BatchTicket& ticket : tickets) {
+    const Result<RouteBatchResponse>& outcome = ticket.Wait();
+    size_t count = std::min(batch_size, requests.size() - next);
+    if (!outcome.ok()) {
+      phase.errors += count;
+      next += count;
+      continue;
+    }
+    const RouteBatchResponse& b = outcome.value();
+    issued += b.items.size();
+    bool uniform = true;
+    for (const RouteBatchItem& item : b.items) {
+      size_t i = next++;
+      if (!item.status.ok() || i >= requests.size()) {
+        ++phase.errors;
+        continue;
+      }
+      if (item.response.epoch != b.epoch) uniform = false;
+      item_samples.push_back(item.response.stats.solve_micros);
+      if (!expected.answered[i]) {
+        ++phase.errors;  // async side answered, reference side failed
+        continue;
+      }
+      if (!SamePaths(item.response.paths, expected.paths[i])) {
+        ++phase.mismatches;
+      }
+    }
+    if (!uniform) ++phase.non_uniform_batches;
+  }
+  phase.sharded_batch_micros = batch_timer.ElapsedMicros();
+  SetPercentiles(item_samples, phase);
+
+  ShardedServiceCounters after = sharded.counters();
+  // Registry cross-check: counter deltas between the two scrapes must match
+  // what the tickets delivered.
+  metrics = MetricsDelta(registry_before, sharded.Metrics(), issued);
+  phase.partial_cache_hits =
+      after.partial_cache_hits - before.partial_cache_hits;
+  phase.direct_partials =
+      after.direct_partial_requests - before.direct_partial_requests;
+  phase.scattered_partials =
+      after.scattered_partial_requests - before.scattered_partial_requests;
+  phase.unsharded_sequential_qps =
+      Qps(phase.requests, phase.unsharded_sequential_micros);
+  phase.sharded_batch_qps = Qps(phase.requests, phase.sharded_batch_micros);
+  if (phase.sharded_batch_micros > 0) {
+    phase.speedup =
+        phase.unsharded_sequential_micros / phase.sharded_batch_micros;
+  }
+  return phase;
+}
+
+/// Shard phase: a sharded and an unsharded service over the pristine graph
+/// receive the identical traffic history, then answer the same request
+/// list; sharding may move work, never change answers. With --batch-size
+/// the shard-batch phase follows on the same sharded service.
+Status RunShardPhases(const BenchContext& ctx, BenchReport& report,
+                      MetricsSnapshot& fleet_export) {
+  const BenchOptions& options = ctx.options;
+  Result<std::unique_ptr<RoutingService>> plain_or =
+      RoutingService::Create(Graph(ctx.pristine), ctx.service_options);
+  if (!plain_or.ok()) return plain_or.status();
+  std::unique_ptr<RoutingService> plain = std::move(plain_or).value();
+
+  auto sharded_options =
+      Derive<ShardedRoutingServiceOptions>(ctx.service_options);
+  sharded_options.num_shards = static_cast<uint32_t>(options.shards);
+  Result<std::unique_ptr<ShardedRoutingService>> sharded_or =
+      ShardedRoutingService::Create(Graph(ctx.pristine), sharded_options);
+  if (!sharded_or.ok()) return sharded_or.status();
+  std::unique_ptr<ShardedRoutingService> sharded =
+      std::move(sharded_or).value();
+
+  ShardPhaseStats& phase = report.shard;
+  phase.num_shards = options.shards;
+  TrafficModel replay = Traffic(ctx, kShardReplaySeed);
+  phase.batches_applied =
+      ApplyReplay(replay, options.num_batches, *plain, *sharded);
+
+  const std::vector<RouteRequest> requests = ParityRequests(ctx);
+  phase.requests = requests.size();
+  if (options.diverse) phase.diverse_requests = ctx.requests.size();
+  // Both passes run the identical interface-typed harness, so the qps
+  // comparison is symmetric; the path-by-path check runs after the timers.
+  QueryPassResult expected = RunQueryPass(*plain, requests);
+  QueryPassResult actual = RunQueryPass(*sharded, requests);
+  phase.errors = expected.errors + actual.errors;
+  phase.mismatches = CountMismatches(expected, actual);
+  phase.unsharded_micros = expected.elapsed_micros;
+  phase.sharded_micros = actual.elapsed_micros;
+  phase.unsharded_qps = Qps(phase.requests, phase.unsharded_micros);
+  phase.sharded_qps = Qps(phase.requests, phase.sharded_micros);
+
+  phase.final_epoch = sharded->CurrentEpoch();
+  if (plain->CurrentEpoch() != phase.final_epoch) ++phase.errors;
+  ShardedServiceCounters counters = sharded->counters();
+  phase.direct_partials = counters.direct_partial_requests;
+  phase.scattered_partials = counters.scattered_partial_requests;
+  phase.single_shard_queries = counters.single_shard_queries;
+  phase.cross_shard_queries = counters.cross_shard_queries;
+  std::vector<ShardInfo> infos = sharded->ShardInfos();
+  if (!infos.empty()) {
+    phase.min_subgraphs_per_shard = infos[0].subgraphs;
+    for (const ShardInfo& info : infos) {
+      phase.min_subgraphs_per_shard =
+          std::min(phase.min_subgraphs_per_shard, info.subgraphs);
+      phase.max_subgraphs_per_shard =
+          std::max(phase.max_subgraphs_per_shard, info.subgraphs);
+    }
+  }
+
+  if (options.batch_size > 0) {
+    report.shard_batch = RunShardBatchPhase(ctx, *sharded, requests, expected,
+                                            report.metrics.shard_batch);
+  }
+  ExportMetrics(sharded->Metrics(), "sharded", fleet_export);
+  return Status::OK();
+}
+
+/// Read-scaling baseline of a replicated fleet: the sequential throughput
+/// of an identical R=1 fleet over the same traffic history and request
+/// list (0 when any of it fails).
+Result<double> BaselineR1Qps(
+    const BenchContext& ctx,
+    const std::vector<std::vector<WeightUpdate>>& history,
+    const std::vector<RouteRequest>& requests) {
+  Result<std::unique_ptr<RemoteShardedRoutingService>> r1_or =
+      RemoteShardedRoutingService::Create(Graph(ctx.pristine),
+                                          RemoteOptions(ctx, 1));
+  if (!r1_or.ok()) return r1_or.status();
+  std::unique_ptr<RemoteShardedRoutingService> r1 = std::move(r1_or).value();
+  for (const std::vector<WeightUpdate>& batch : history) {
+    if (!r1->ApplyTrafficBatch(batch).ok()) return 0.0;
+  }
+  QueryPassResult pass = RunQueryPass(*r1, requests);
+  return pass.errors == 0 ? Qps(requests.size(), pass.elapsed_micros) : 0.0;
+}
+
+/// Failover drill of a replicated fleet. Part one kills the last replica of
+/// shard 0 and answers the whole list again: sibling failover must be
+/// error- and mismatch-free. Part two applies one more traffic batch, which
+/// auto-restarts the victim (checkpoint load + history replay), and answers
+/// the list a third time against a freshly computed reference at the new
+/// epoch. Returns the requests issued to the remote service.
+size_t RunFailoverDrill(ShardedRoutingService& reference,
+                        RemoteShardedRoutingService& remote,
+                        TrafficModel& replay,
+                        const std::vector<RouteRequest>& requests,
+                        const QueryPassResult& expected,
+                        RemoteShardPhaseStats& phase) {
+  for (const RemoteWorkerInfo& info : remote.WorkerInfos()) {
+    if (info.shard == 0 && info.replica == phase.num_replicas - 1 &&
+        info.pid > 0) {
+      kill(info.pid, SIGKILL);
+    }
+  }
+  QueryPassResult failover = RunQueryPass(remote, requests);
+  phase.failover_errors += failover.errors;
+  phase.failover_mismatches += CountMismatches(expected, failover);
+
+  phase.batches_applied += ApplyReplay(replay, 1, reference, remote);
+  QueryPassResult healed_expected = RunQueryPass(reference, requests);
+  QueryPassResult healed = RunQueryPass(remote, requests);
+  phase.failover_errors += healed_expected.errors + healed.errors;
+  phase.failover_mismatches += CountMismatches(healed_expected, healed);
+  phase.failover_requests = 2 * requests.size();
+  return failover.issued + healed.issued;
+}
+
+/// Remote phase: the shard phase's drill with the shards in worker
+/// processes — a RemoteShardedRoutingService against an in-process
+/// ShardedRoutingService reference, identical traffic history (two-phase
+/// epoch commit on the remote side), identical request list, path-by-path
+/// parity. A batched leg answers the list again through the remote
+/// QueryBatch; replicated fleets add the R=1 baseline and the failover
+/// drill. `metrics` receives the remote registry's delta over all legs.
+Result<RemoteShardPhaseStats> RunRemotePhase(const BenchContext& ctx,
+                                             BenchMetricsSummary& metrics,
+                                             MetricsSnapshot& fleet_export) {
+  const BenchOptions& options = ctx.options;
+  RemoteShardPhaseStats phase;
+  phase.num_shards = options.remote_shards;
+  phase.num_replicas = options.replicas > 0 ? options.replicas : 1;
+
+  auto reference_options =
+      Derive<ShardedRoutingServiceOptions>(ctx.service_options);
+  reference_options.num_shards = static_cast<uint32_t>(options.remote_shards);
+  Result<std::unique_ptr<ShardedRoutingService>> reference_or =
+      ShardedRoutingService::Create(Graph(ctx.pristine), reference_options);
+  if (!reference_or.ok()) return reference_or.status();
+  std::unique_ptr<ShardedRoutingService> reference =
+      std::move(reference_or).value();
+  Result<std::unique_ptr<RemoteShardedRoutingService>> remote_or =
+      RemoteShardedRoutingService::Create(
+          Graph(ctx.pristine), RemoteOptions(ctx, phase.num_replicas));
+  if (!remote_or.ok()) return remote_or.status();
+  std::unique_ptr<RemoteShardedRoutingService> remote =
+      std::move(remote_or).value();
+
+  TrafficModel replay = Traffic(ctx, kRemoteReplaySeed);
+  // Kept so the R=1 baseline fleet can replay the identical history.
+  std::vector<std::vector<WeightUpdate>> history;
+  phase.batches_applied =
+      ApplyReplay(replay, options.num_batches, *reference, *remote, &history);
+
+  const std::vector<RouteRequest> requests = ParityRequests(ctx);
+  phase.requests = requests.size();
+  if (options.diverse) phase.diverse_requests = ctx.requests.size();
+  QueryPassResult expected = RunQueryPass(*reference, requests);
+
+  MetricsSnapshot registry_before = remote->Metrics();
+  QueryPassResult sequential = RunQueryPass(*remote, requests);
+  phase.batch_size = options.batch_size > 0 ? options.batch_size : 8;
+  QueryPassResult batched = RunQueryPass(*remote, requests, phase.batch_size);
+  size_t issued = sequential.issued + batched.issued;
+  phase.batches_submitted = batched.batches;
+  phase.errors = expected.errors + sequential.errors + batched.errors;
+  phase.mismatches = CountMismatches(expected, sequential) +
+                     CountMismatches(expected, batched);
+  phase.inprocess_micros = expected.elapsed_micros;
+  phase.remote_micros = sequential.elapsed_micros;
+  phase.remote_batch_micros = batched.elapsed_micros;
+  phase.inprocess_qps = Qps(phase.requests, phase.inprocess_micros);
+  phase.remote_qps = Qps(phase.requests, phase.remote_micros);
+  phase.remote_batch_qps = Qps(phase.requests, phase.remote_batch_micros);
+
+  if (phase.num_replicas > 1) {
+    Result<double> baseline = BaselineR1Qps(ctx, history, requests);
+    if (baseline.ok()) {
+      phase.baseline_r1_qps = baseline.value();
+    } else {
+      ++phase.errors;
+    }
+    issued += RunFailoverDrill(*reference, *remote, replay, requests,
+                               expected, phase);
+  }
+  phase.final_epoch = remote->CurrentEpoch();
+  if (reference->CurrentEpoch() != phase.final_epoch) ++phase.errors;
+
+  // Metrics() pings every live worker, so the snapshot carries each
+  // worker's own registry tagged with its shard label.
+  MetricsSnapshot registry_after = remote->Metrics();
+  metrics.remote_shard = MetricsDelta(registry_before, registry_after, issued);
+  metrics.worker_snapshots = registry_after.GaugeSampleCount("worker_epoch");
+  ExportMetrics(std::move(registry_after), "remote", fleet_export);
+
+  RemoteServiceCounters counters = remote->counters();
+  phase.rpc_calls = counters.rpc_calls;
+  phase.rpc_retries = counters.rpc_retries;
+  phase.rpc_deadline_expired = counters.rpc_deadline_expired;
+  phase.worker_restarts = counters.worker_restarts;
+  phase.replica_catchups = counters.replica_catchups;
+  for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
+    phase.reads_by_replica.push_back(info.reads);
+  }
+  phase.partial_cache_hits = counters.sharded.partial_cache_hits;
+  phase.partial_cache_skips = counters.sharded.partial_cache_skips;
+  phase.direct_partials = counters.sharded.direct_partial_requests;
+  phase.scattered_partials = counters.sharded.scattered_partial_requests;
+  return phase;
+}
+
+// Offered load of the overload phase: every distinct request four times
+// over, priorities drawn from a repeating interactive-light / batch-heavy
+// pattern (3 : 1 : 6 per ten requests). Under strict priority a uniform mix
+// at sustained overload starves the batch class completely (every batch
+// entry is displaced before the queue ever drains down to it); with this
+// mix interactive + normal under-fill capacity, so the leftover trickle
+// serves batch work late — which is exactly the contrast the phase exists
+// to measure (interactive p99 far below batch p99, both real). Tenants
+// rotate so each one sees the same mix.
+constexpr RequestPriority kPriorityPattern[] = {
+    RequestPriority::kInteractive, RequestPriority::kInteractive,
+    RequestPriority::kInteractive, RequestPriority::kNormal,
+    RequestPriority::kBatch,       RequestPriority::kBatch,
+    RequestPriority::kBatch,       RequestPriority::kBatch,
+    RequestPriority::kBatch,       RequestPriority::kBatch};
+constexpr size_t kPatternSize = std::size(kPriorityPattern);
+constexpr size_t kOverloadRepeats = 4;
+constexpr size_t kOverloadTenants = 4;
+
+struct OverloadOutcome {
+  AdmissionOutcome admission = AdmissionOutcome::kRejected;
+  bool ok = false;
+  bool mismatch = false;
+  double latency_micros = 0;
+};
+
+/// Paces single-request SubmitBatch envelopes every `interval_micros`
+/// without waiting for completions, and returns each request's outcome
+/// once every callback has run. Deadlines scale with the measured mean
+/// solve time — generous for interactive (it jumps the queue, so it should
+/// nearly always make it), tight for normal, none for batch (batch is
+/// displaced or quota-shed, never deadline-shed).
+std::vector<OverloadOutcome> OfferOpenLoop(
+    RoutingService& service, const std::vector<RouteRequest>& distinct,
+    const QueryPassResult& reference, double interval_micros,
+    double mean_micros) {
+  const size_t total = distinct.size() * kOverloadRepeats;
+  const auto interactive_budget =
+      std::chrono::microseconds(static_cast<int64_t>(mean_micros * 64));
+  const auto normal_budget =
+      std::chrono::microseconds(static_cast<int64_t>(mean_micros * 16));
+  std::vector<OverloadOutcome> outcomes(total);
+  std::vector<BatchTicket> tickets;
+  tickets.reserve(total);
+  // Tickets are fulfilled BEFORE their callbacks run, so Wait() alone does
+  // not order the slot writes below against the reads after the loop; this
+  // counter does.
+  std::atomic<size_t> callbacks_done{0};
+
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t i = 0; i < total; ++i) {
+    std::this_thread::sleep_until(
+        start + std::chrono::microseconds(
+                    static_cast<int64_t>(interval_micros * i)));
+    const size_t distinct_index = i % distinct.size();
+    RouteRequest request = distinct[distinct_index];
+    request.context.priority = kPriorityPattern[i % kPatternSize];
+    request.context.tenant_id = "t" + std::to_string(i % kOverloadTenants);
+    const auto now = std::chrono::steady_clock::now();
+    if (request.context.priority == RequestPriority::kInteractive) {
+      request.context.deadline = now + interactive_budget;
+    } else if (request.context.priority == RequestPriority::kNormal) {
+      request.context.deadline = now + normal_budget;
+    }
+    OverloadOutcome* slot = &outcomes[i];
+    const std::vector<Path>* want = reference.answered[distinct_index]
+                                        ? &reference.paths[distinct_index]
+                                        : nullptr;
+    std::vector<RouteRequest> one;
+    one.push_back(std::move(request));
+    tickets.push_back(service.SubmitBatch(
+        std::move(one),
+        [slot, want, now,
+         &callbacks_done](const Result<RouteBatchResponse>& result) {
+          slot->latency_micros = std::chrono::duration<double, std::micro>(
+                                     std::chrono::steady_clock::now() - now)
+                                     .count();
+          if (result.ok() && result.value().items.size() == 1) {
+            const RouteBatchItem& item = result.value().items.front();
+            slot->admission = item.admission;
+            slot->ok = item.status.ok();
+            if (slot->ok && want != nullptr &&
+                !SamePaths(item.response.paths, *want)) {
+              slot->mismatch = true;
+            }
+          }
+          callbacks_done.fetch_add(1, std::memory_order_release);
+        }));
+  }
+  for (const BatchTicket& ticket : tickets) ticket.Wait();
+  while (callbacks_done.load(std::memory_order_acquire) < total) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  return outcomes;
+}
+
+/// Partitions the outcomes exactly into admitted / shed-on-deadline /
+/// shed-on-quota / error, in total and per priority.
+void TallyOverload(const std::vector<OverloadOutcome>& outcomes,
+                   OverloadPhaseStats& phase) {
+  std::vector<std::vector<double>> latency_by_priority(kNumPriorities);
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const OverloadOutcome& got = outcomes[i];
+    const size_t priority =
+        static_cast<size_t>(kPriorityPattern[i % kPatternSize]);
+    OverloadPriorityStats& slice = phase.per_priority[priority];
+    ++slice.issued;
+    switch (got.admission) {
+      case AdmissionOutcome::kServed:
+        if (got.ok) {
+          ++phase.admitted;
+          ++slice.served;
+          latency_by_priority[priority].push_back(got.latency_micros);
+          if (got.mismatch) ++phase.mismatches;
+        } else {
+          // Admitted but failed to solve: not an admission outcome at all —
+          // a real error.
+          ++phase.errors;
+          ++slice.errors;
+        }
+        break;
+      case AdmissionOutcome::kShedDeadline:
+        ++phase.shed_deadline;
+        ++slice.shed_deadline;
+        break;
+      case AdmissionOutcome::kShedQuota:
+        ++phase.shed_quota;
+        ++slice.shed_quota;
+        break;
+      case AdmissionOutcome::kRejected:
+        ++phase.errors;
+        ++slice.errors;
+        break;
+    }
+  }
+  phase.accounted = phase.admitted + phase.shed_deadline + phase.shed_quota;
+  phase.goodput_qps = Qps(phase.admitted, phase.elapsed_micros);
+  for (size_t p = 0; p < kNumPriorities; ++p) {
+    OverloadPriorityStats& slice = phase.per_priority[p];
+    slice.goodput_qps = Qps(slice.served, phase.elapsed_micros);
+    Percentiles latency = ComputePercentiles(latency_by_priority[p]);
+    slice.p50_micros = latency.p50;
+    slice.p99_micros = latency.p99;
+  }
+}
+
+/// Overload phase: make admission control choose. A fresh service first
+/// answers the request list sequentially — that pass measures its capacity
+/// AND records the no-pressure reference answers — then the same requests,
+/// dressed with rotating priorities / tenants / per-priority deadlines, are
+/// offered open-loop at factor x capacity through SubmitBatch. The pacer
+/// never blocks (QoS submits shed instead), so the offered rate really is
+/// open-loop; the accounting must be exact (served + shed_deadline +
+/// shed_quota == offered) and every served answer must match the reference
+/// path-for-path.
+Result<OverloadPhaseStats> RunOverloadPhase(const BenchContext& ctx,
+                                            MetricsSnapshot& fleet_export) {
+  OverloadPhaseStats phase;
+  phase.factor = ctx.options.overload_factor;
+  RoutingServiceOptions overload_options = ctx.service_options;
+  // Small queue + per-tenant quota so both shed reasons and the
+  // priority-eviction path engage at modest offered loads.
+  overload_options.submit_queue_capacity = 8;
+  overload_options.per_tenant_quota = 4;
+  phase.queue_capacity = overload_options.submit_queue_capacity;
+  phase.per_tenant_quota = overload_options.per_tenant_quota;
+  phase.num_tenants = kOverloadTenants;
+  Result<std::unique_ptr<RoutingService>> service_or =
+      RoutingService::Create(Graph(ctx.pristine), overload_options);
+  if (!service_or.ok()) return service_or.status();
+  std::unique_ptr<RoutingService> service = std::move(service_or).value();
+
+  // Capacity pass (no pressure, no QoS): reference answers + the rate the
+  // offered load is a multiple of.
+  const std::vector<RouteRequest>& distinct = ctx.requests;
+  QueryPassResult reference = RunQueryPass(*service, distinct);
+  phase.errors += reference.errors;
+  double mean_micros =
+      reference.elapsed_micros / static_cast<double>(distinct.size());
+  if (mean_micros <= 0) mean_micros = 1;
+  phase.capacity_qps =
+      Qps(distinct.size(),
+          reference.elapsed_micros > 0 ? reference.elapsed_micros : 1);
+  AdmissionCounters admission_before = AdmissionCountersFrom(service->Metrics());
+
+  phase.requests = distinct.size() * kOverloadRepeats;
+  WallTimer overload_timer;
+  std::vector<OverloadOutcome> outcomes =
+      OfferOpenLoop(*service, distinct, reference,
+                    1e6 / (phase.factor * phase.capacity_qps), mean_micros);
+  phase.elapsed_micros = overload_timer.ElapsedMicros();
+  phase.offered_qps = Qps(phase.requests, phase.elapsed_micros);
+  TallyOverload(outcomes, phase);
+
+  // The service's own registry must tell the same story as the harness
+  // tallies (delta over the overload window; the capacity pass already
+  // bumped admitted once per reference answer).
+  MetricsSnapshot snapshot = service->Metrics();
+  AdmissionCounters admission_after = AdmissionCountersFrom(snapshot);
+  phase.registry_admitted = admission_after.admitted - admission_before.admitted;
+  phase.registry_shed_deadline =
+      admission_after.shed_deadline - admission_before.shed_deadline;
+  phase.registry_shed_quota =
+      admission_after.shed_quota - admission_before.shed_quota;
+  ExportMetrics(std::move(snapshot), "overload", fleet_export);
+  return phase;
+}
+
+/// Rejects options no phase can run with, and resolves the dataset name.
+Result<const DatasetSpec*> ValidateOptions(const BenchOptions& options) {
   if (options.backends.empty()) {
     return Status::InvalidArgument("at least one backend required");
   }
@@ -529,999 +1266,130 @@ Result<BenchReport> RunMixedBench(const BenchOptions& options) {
     return Status::NotFound("unknown dataset '" + options.dataset +
                             "' (known: " + JoinNames(known) + ")");
   }
-  Graph graph = options.target_vertices == 0
-                    ? LoadDataset(*spec)
-                    : LoadScaledDataset(*spec, options.target_vertices);
-  // The shard and remote phases build fresh services over the pristine
-  // graph, so keep copies before the mixed-workload service takes
-  // ownership.
-  Graph pristine_graph;
-  if (options.shards > 0) pristine_graph = graph;
-  Graph remote_graph;
-  Graph remote_reference_graph;
-  Graph remote_r1_graph;
-  if (options.remote_shards > 0) {
-    remote_graph = graph;
-    remote_reference_graph = graph;
-    // The read-scaling baseline builds a third fleet at R=1.
-    if (options.replicas > 1) remote_r1_graph = graph;
-  }
-  // The overload phase needs an unperturbed service whose capacity pass
-  // doubles as the parity reference, so it too starts from pristine weights.
-  Graph overload_graph;
-  if (options.overload_factor > 0) overload_graph = graph;
+  return spec;
+}
 
+/// The serving options every service of the bench shares.
+RoutingServiceOptions ServiceOptions(const BenchOptions& options,
+                                     const DatasetSpec& spec) {
   RoutingServiceOptions service_options;
   service_options.defaults.k = options.k;
   service_options.defaults.diversity.theta = options.diverse_theta;
   service_options.defaults.diversity.overfetch = options.diverse_overfetch;
   service_options.dtlp.partition.max_vertices =
-      options.z != 0 ? options.z : spec->default_z;
+      options.z != 0 ? options.z : spec.default_z;
   service_options.batch_threads = options.batch_threads;
+  return service_options;
+}
 
-  BenchReport report;
-  report.dataset = options.dataset;
-  report.num_vertices = graph.NumVertices();
-  report.num_edges = graph.NumEdges();
-  report.k = options.k;
-
-  // Accumulates each service's final registry snapshot, tagged with a
-  // service label, for the --metrics-out export.
-  MetricsSnapshot fleet_export;
-  // Requests handed to the mixed service across all its phases; its
-  // registry must account for every one of them.
-  size_t mixed_issued = 0;
-
-  WallTimer build_timer;
-  Result<std::unique_ptr<RoutingService>> service_or =
-      RoutingService::Create(std::move(graph), service_options);
-  if (!service_or.ok()) return service_or.status();
-  std::unique_ptr<RoutingService> service = std::move(service_or).value();
-  report.index_build_micros = build_timer.ElapsedMicros();
-  report.num_subgraphs = service->dtlp().NumSubgraphs();
-
-  // Fail fast on typoed backend names instead of producing a report whose
-  // stats are all errors.
-  std::vector<std::string> registered = service->BackendNames();
+/// Fails fast on typoed backend names instead of producing a report whose
+/// stats are all errors.
+Status CheckBackends(const BenchOptions& options,
+                     const RoutingService& service) {
+  std::vector<std::string> registered = service.BackendNames();
   for (const std::string& backend : options.backends) {
     if (std::find(registered.begin(), registered.end(), backend) ==
         registered.end()) {
       return Status::NotFound("unknown backend '" + backend +
-                              "' (registered: " + JoinNames(registered) +
-                              ")");
+                              "' (registered: " + JoinNames(registered) + ")");
     }
   }
+  return Status::OK();
+}
 
-  TrafficModelOptions traffic_options;
-  traffic_options.alpha = options.alpha;
-  traffic_options.tau = options.tau;
-  traffic_options.seed = options.seed + 1;
-  TrafficModel traffic(service->graph(), traffic_options);
+}  // namespace
 
-  // Interleave the backends in one flat work list so every backend sees the
-  // same mixture of fresh and already-updated epochs.
-  std::vector<std::pair<VertexId, VertexId>> endpoints = MakeRandomQueries(
-      service->graph(), options.queries_per_backend, options.seed);
-  std::vector<WorkItem> work;
-  work.reserve(endpoints.size() * options.backends.size());
-  for (const auto& [s, t] : endpoints) {
-    for (size_t b = 0; b < options.backends.size(); ++b) {
-      work.push_back({s, t, b});
-    }
+std::string BenchReport::ToJson() const {
+  JsonWriter w;
+  w.Field("dataset", dataset);
+  w.Field("num_vertices", num_vertices);
+  w.Field("num_edges", num_edges);
+  w.Field("num_subgraphs", num_subgraphs);
+  w.Field("k", k);
+  w.Field("index_build_micros", index_build_micros);
+  w.Field("batches_applied", batches_applied);
+  w.Field("batch_errors", batch_errors);
+  w.Field("updates_applied", updates_applied);
+  w.Field("update_total_micros", update_total_micros);
+  w.Field("update_p50_micros", update_p50_micros);
+  w.Field("update_p95_micros", update_p95_micros);
+  w.Field("update_p99_micros", update_p99_micros);
+  w.Field("cands_subgraphs_rebuilt", cands_subgraphs_rebuilt);
+  w.Field("cands_pair_paths_recomputed", cands_pair_paths_recomputed);
+  w.Field("cands_rebuild_micros", cands_rebuild_micros);
+  w.Field("final_epoch", final_epoch);
+  WriteObject(w, "batch", batch);
+  WriteObject(w, "diverse", diverse);
+  WriteObject(w, "shard", shard);
+  WriteObject(w, "shard_batch", shard_batch);
+  WriteObject(w, "remote_shard", remote_shard);
+  WriteObject(w, "overload", overload);
+  WriteObject(w, "metrics", metrics);
+  w.BeginArray("backends");
+  for (const BackendBenchStats& backend : backends) {
+    w.BeginObject();
+    WriteFields(w, backend);
+    w.End();
   }
+  w.End();
+  return w.Finish();
+}
 
-  std::vector<BackendBenchStats> stats(options.backends.size());
-  std::vector<std::vector<double>> latency_samples(options.backends.size());
-  for (size_t b = 0; b < options.backends.size(); ++b) {
-    stats[b].backend = options.backends[b];
-    stats[b].min_epoch = std::numeric_limits<uint64_t>::max();
-    latency_samples[b].reserve(options.queries_per_backend);
-  }
-  Mutex stats_mu{"bench_runner::stats_mu"};
-  std::atomic<size_t> next_item{0};
+Result<BenchReport> RunMixedBench(const BenchOptions& options) {
+  Result<const DatasetSpec*> spec = ValidateOptions(options);
+  if (!spec.ok()) return spec.status();
+  // Every service below is built over its own copy of this graph.
+  const Graph pristine =
+      options.target_vertices == 0
+          ? LoadDataset(*spec.value())
+          : LoadScaledDataset(*spec.value(), options.target_vertices);
+  const BenchContext ctx{options, pristine,
+                         ServiceOptions(options, *spec.value()),
+                         MakeRequests(options, pristine)};
 
-  auto reader = [&]() {
-    for (;;) {
-      size_t i = next_item.fetch_add(1, std::memory_order_relaxed);
-      if (i >= work.size()) return;
-      const WorkItem& item = work[i];
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      Result<RouteResponse> response = service->Query(request);
-      MutexLock guard(stats_mu);
-      BackendBenchStats& s = stats[item.backend_index];
-      ++s.queries;
-      if (!response.ok()) {
-        ++s.errors;
-        continue;
-      }
-      const RouteResponse& r = response.value();
-      s.paths_returned += r.paths.size();
-      latency_samples[item.backend_index].push_back(r.stats.solve_micros);
-      s.total_micros += r.stats.solve_micros;
-      s.max_micros = std::max(s.max_micros, r.stats.solve_micros);
-      s.min_epoch = std::min(s.min_epoch, r.epoch);
-      s.max_epoch = std::max(s.max_epoch, r.epoch);
-      s.engine_iterations += r.stats.engine.iterations;
-    }
-  };
+  BenchReport report;
+  report.dataset = options.dataset;
+  report.num_vertices = pristine.NumVertices();
+  report.num_edges = pristine.NumEdges();
+  report.k = options.k;
+  Graph mixed_graph = pristine;
+  WallTimer build_timer;
+  Result<std::unique_ptr<RoutingService>> service_or =
+      RoutingService::Create(std::move(mixed_graph), ctx.service_options);
+  if (!service_or.ok()) return service_or.status();
+  std::unique_ptr<RoutingService> service = std::move(service_or).value();
+  report.index_build_micros = build_timer.ElapsedMicros();
+  report.num_subgraphs = service->dtlp().NumSubgraphs();
+  KSPDG_RETURN_NOT_OK(CheckBackends(options, *service));
 
-  // Writer: spread the batches across the reader phase so early and late
-  // queries land on different epochs.
-  double update_micros = 0;
-  std::vector<double> update_samples;
-  size_t updates_applied = 0;
-  size_t batches_applied = 0;
-  size_t batch_errors = 0;
-  size_t cands_subgraphs_rebuilt = 0;
-  size_t cands_pair_paths = 0;
-  double cands_micros = 0;
-  // kspdg-lint: allow(raw-thread) — bench load generators, joined below.
-  std::thread writer([&]() {
-    for (size_t batch = 0; batch < options.num_batches; ++batch) {
-      while (next_item.load(std::memory_order_relaxed) <
-             (batch + 1) * work.size() / (options.num_batches + 1)) {
-        // Coarse pacing only: sleep rather than spin so the waiting writer
-        // does not steal cycles from the reader latencies being measured.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      std::vector<WeightUpdate> updates = traffic.NextBatch();
-      WallTimer timer;
-      Result<TrafficBatchResult> applied =
-          service->ApplyTrafficBatch(updates);
-      if (applied.ok()) {
-        double micros = timer.ElapsedMicros();
-        update_micros += micros;
-        update_samples.push_back(micros);
-        ++batches_applied;
-        updates_applied += applied.value().dtlp.updates_applied;
-        cands_subgraphs_rebuilt += applied.value().cands.subgraphs_rebuilt;
-        cands_pair_paths += applied.value().cands.pair_paths_recomputed;
-        cands_micros += applied.value().cands_micros;
-      } else {
-        ++batch_errors;
-      }
-    }
-  });
-
-  std::vector<std::thread> readers;  // kspdg-lint: allow(raw-thread)
-  size_t num_threads = std::max<size_t>(1, options.query_threads);
-  readers.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) readers.emplace_back(reader);
-  for (std::thread& t : readers) t.join();  // kspdg-lint: allow(raw-thread)
-  writer.join();
-  mixed_issued += work.size();
-
-  report.batches_applied = batches_applied;
-  report.batch_errors = batch_errors;
-  report.updates_applied = updates_applied;
-  report.update_total_micros = update_micros;
-  report.update_p50_micros = Percentile(update_samples, 50);
-  report.update_p95_micros = Percentile(update_samples, 95);
-  report.update_p99_micros = Percentile(update_samples, 99);
-  report.cands_subgraphs_rebuilt = cands_subgraphs_rebuilt;
-  report.cands_pair_paths_recomputed = cands_pair_paths;
-  report.cands_rebuild_micros = cands_micros;
-  report.final_epoch = service->CurrentEpoch();
-  for (size_t b = 0; b < stats.size(); ++b) {
-    BackendBenchStats& s = stats[b];
-    if (s.queries > s.errors) {
-      s.mean_micros = s.total_micros / static_cast<double>(s.queries - s.errors);
-    }
-    s.p50_micros = Percentile(latency_samples[b], 50);
-    s.p95_micros = Percentile(latency_samples[b], 95);
-    s.p99_micros = Percentile(latency_samples[b], 99);
-    if (s.min_epoch == std::numeric_limits<uint64_t>::max()) s.min_epoch = 0;
-  }
-  report.backends = std::move(stats);
-
-  // Batch phase: answer one mixed request list twice — sequential Query
-  // calls vs QueryBatch — with no concurrent writer, so the wall-clock
-  // difference isolates what batching buys (single lock acquisition,
-  // pooled worker scratch, parallel execution).
+  // The mixed service's registry must account for every request the
+  // mixed, batch and diverse phases issued to it.
+  size_t mixed_issued = RunMixedPhase(ctx, *service, report);
   if (options.batch_size > 0) {
-    std::vector<RouteRequest> requests;
-    requests.reserve(work.size());
-    for (const WorkItem& item : work) {
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      requests.push_back(std::move(request));
-    }
-    BatchPhaseStats& phase = report.batch;
-    phase.batch_size = options.batch_size;
-    phase.requests = requests.size();
-
-    WallTimer sequential_timer;
-    for (const RouteRequest& request : requests) {
-      if (!service->Query(request).ok()) ++phase.errors;
-    }
-    phase.sequential_micros = sequential_timer.ElapsedMicros();
-    mixed_issued += requests.size();
-
-    WallTimer batch_timer;
-    for (size_t begin = 0; begin < requests.size();
-         begin += options.batch_size) {
-      size_t count = std::min(options.batch_size, requests.size() - begin);
-      Result<RouteBatchResponse> batched = service->QueryBatch(
-          std::span<const RouteRequest>(requests.data() + begin, count));
-      if (!batched.ok()) {
-        phase.errors += count;
-        continue;
-      }
-      mixed_issued += count;
-      const RouteBatchResponse& b = batched.value();
-      phase.errors += b.num_rejected;
-      for (const RouteBatchItem& item : b.items) {
-        if (item.status.ok() && item.response.epoch != b.epoch) {
-          ++phase.non_uniform_batches;
-          break;
-        }
-      }
-    }
-    phase.batch_micros = batch_timer.ElapsedMicros();
-
-    if (phase.sequential_micros > 0) {
-      phase.sequential_qps = static_cast<double>(phase.requests) /
-                             (phase.sequential_micros / 1e6);
-    }
-    if (phase.batch_micros > 0) {
-      phase.batch_qps =
-          static_cast<double>(phase.requests) / (phase.batch_micros / 1e6);
-      phase.speedup = phase.sequential_micros / phase.batch_micros;
-    }
+    report.batch = RunBatchPhase(ctx, *service, mixed_issued);
   }
-
-  // Diverse phase: the same endpoints and backends answered once as plain
-  // kKsp and once as kDiverseKsp, with no concurrent writer — so `overhead`
-  // isolates the query-path cost of the §4 pipeline (over-fetch, per-query
-  // EP-Index/MFP build, MinHash filter) against plain KSP.
   if (options.diverse) {
-    DiversePhaseStats& phase = report.diverse;
-    phase.k = options.k;
-    phase.overfetch = options.diverse_overfetch;
-    phase.theta = options.diverse_theta;
-
-    std::vector<RouteRequest> plain_requests;
-    std::vector<RouteRequest> diverse_requests;
-    plain_requests.reserve(work.size());
-    diverse_requests.reserve(work.size());
-    for (const WorkItem& item : work) {
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      plain_requests.push_back(request);
-      request.kind = QueryKind::kDiverseKsp;
-      diverse_requests.push_back(std::move(request));
-    }
-    phase.requests = diverse_requests.size();
-
-    WallTimer plain_timer;
-    for (const RouteRequest& request : plain_requests) {
-      if (!service->Query(request).ok()) ++phase.errors;
-    }
-    phase.plain_micros = plain_timer.ElapsedMicros();
-    mixed_issued += plain_requests.size();
-
-    std::vector<double> samples;
-    samples.reserve(diverse_requests.size());
-    phase.kept_min = std::numeric_limits<size_t>::max();
-    double mean_sum = 0;
-    size_t mean_count = 0;
-    WallTimer diverse_timer;
-    for (const RouteRequest& request : diverse_requests) {
-      Result<RouteResponse> response = service->Query(request);
-      if (!response.ok() || !response.value().diverse.has_value()) {
-        ++phase.errors;
-        continue;
-      }
-      const DiverseStats& d = *response.value().diverse;
-      phase.candidates_total += d.candidates;
-      phase.kept_total += d.kept;
-      phase.filtered_total += d.filtered;
-      phase.kept_min = std::min<size_t>(phase.kept_min, d.kept);
-      phase.kept_max = std::max<size_t>(phase.kept_max, d.kept);
-      mean_sum += d.mean_pairwise_similarity;
-      ++mean_count;
-      phase.max_pairwise_similarity = std::max(
-          phase.max_pairwise_similarity, d.max_pairwise_similarity);
-      phase.ep_raw_entries += d.ep_raw_entries;
-      phase.ep_path_nodes += d.ep_path_nodes;
-      samples.push_back(response.value().stats.solve_micros);
-    }
-    phase.diverse_micros = diverse_timer.ElapsedMicros();
-    mixed_issued += diverse_requests.size();
-    if (phase.kept_min == std::numeric_limits<size_t>::max()) {
-      phase.kept_min = 0;
-    }
-    if (mean_count > 0) {
-      phase.mean_pairwise_similarity =
-          mean_sum / static_cast<double>(mean_count);
-    }
-    if (phase.ep_raw_entries > 0) {
-      phase.mfp_compression_ratio =
-          static_cast<double>(phase.ep_path_nodes) /
-          static_cast<double>(phase.ep_raw_entries);
-    }
-    phase.p50_micros = Percentile(samples, 50);
-    phase.p95_micros = Percentile(samples, 95);
-    phase.p99_micros = Percentile(samples, 99);
-    if (phase.plain_micros > 0) {
-      phase.plain_qps =
-          static_cast<double>(phase.requests) / (phase.plain_micros / 1e6);
-    }
-    if (phase.diverse_micros > 0) {
-      phase.diverse_qps =
-          static_cast<double>(phase.requests) / (phase.diverse_micros / 1e6);
-    }
-    if (phase.plain_micros > 0) {
-      phase.overhead = phase.diverse_micros / phase.plain_micros;
-    }
+    report.diverse = RunDiversePhase(ctx, *service, mixed_issued);
   }
+  MetricsSnapshot fleet_export;
+  MetricsSnapshot mixed_snapshot = service->Metrics();
+  report.metrics.mixed = MetricsDelta({}, mixed_snapshot, mixed_issued);
+  ExportMetrics(std::move(mixed_snapshot), "mixed", fleet_export);
 
-  // Registry cross-check for the mixed service: its own counters must
-  // account for every request the harness issued across the phases above
-  // (the CI metrics gate asserts the equality).
-  {
-    MetricsSnapshot snapshot = service->Metrics();
-    report.metrics.mixed.issued_requests = mixed_issued;
-    report.metrics.mixed.queries_total = QueriesTotal(snapshot);
-    report.metrics.mixed.queries_rejected_total =
-        snapshot.CounterTotal("queries_rejected_total");
-    snapshot.AddLabel("service", "mixed");
-    fleet_export.Merge(snapshot);
-  }
-
-  // Shard phase: build a sharded and an unsharded service over identical
-  // pristine graphs, feed both the identical traffic history, then answer
-  // the same request list on both and require path-for-path equality —
-  // sharding may move work, never change answers.
   if (options.shards > 0) {
-    ShardPhaseStats& phase = report.shard;
-    phase.num_shards = options.shards;
-
-    Graph unsharded_graph = pristine_graph;
-    Result<std::unique_ptr<RoutingService>> plain_or =
-        RoutingService::Create(std::move(unsharded_graph), service_options);
-    if (!plain_or.ok()) return plain_or.status();
-    std::unique_ptr<RoutingService> plain = std::move(plain_or).value();
-
-    ShardedRoutingServiceOptions sharded_options;
-    sharded_options.defaults = service_options.defaults;
-    sharded_options.dtlp = service_options.dtlp;
-    sharded_options.num_shards = static_cast<uint32_t>(options.shards);
-    sharded_options.batch_threads = options.batch_threads;
-    Result<std::unique_ptr<ShardedRoutingService>> sharded_or =
-        ShardedRoutingService::Create(std::move(pristine_graph),
-                                      sharded_options);
-    if (!sharded_or.ok()) return sharded_or.status();
-    std::unique_ptr<ShardedRoutingService> sharded =
-        std::move(sharded_or).value();
-
-    // Identical traffic history on both services (batches are anchored to
-    // the immutable initial weights, so pre-generating them is exact).
-    TrafficModelOptions replay_options = traffic_options;
-    replay_options.seed = options.seed + 2;
-    TrafficModel replay(plain->graph(), replay_options);
-    for (size_t b = 0; b < options.num_batches; ++b) {
-      std::vector<WeightUpdate> batch = replay.NextBatch();
-      bool ok = plain->ApplyTrafficBatch(batch).ok();
-      ok = sharded->ApplyTrafficBatch(batch).ok() && ok;
-      if (ok) ++phase.batches_applied;
-    }
-
-    std::vector<RouteRequest> requests;
-    requests.reserve(work.size() * (options.diverse ? 2 : 1));
-    for (const WorkItem& item : work) {
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      requests.push_back(std::move(request));
-    }
-    if (options.diverse) {
-      // Diverse answers must be as shard-invisible as plain ones: append a
-      // kDiverseKsp copy of the request list to the parity workload.
-      for (const WorkItem& item : work) {
-        RouteRequest request;
-        request.kind = QueryKind::kDiverseKsp;
-        request.source = item.source;
-        request.target = item.target;
-        request.options.backend = options.backends[item.backend_index];
-        requests.push_back(std::move(request));
-      }
-      phase.diverse_requests = work.size();
-    }
-    phase.requests = requests.size();
-
-    // Both passes run the identical interface-typed harness, so the qps
-    // comparison is symmetric; the path-by-path check runs after the
-    // timers.
-    QueryPassResult expected = RunQueryPass(*plain, requests);
-    phase.errors += expected.errors;
-    phase.unsharded_micros = expected.elapsed_micros;
-
-    QueryPassResult actual = RunQueryPass(*sharded, requests);
-    phase.errors += actual.errors;
-    phase.sharded_micros = actual.elapsed_micros;
-
-    phase.mismatches += CountMismatches(expected, actual);
-
-    phase.final_epoch = sharded->CurrentEpoch();
-    if (plain->CurrentEpoch() != sharded->CurrentEpoch()) ++phase.errors;
-    ShardedServiceCounters counters = sharded->counters();
-    phase.direct_partials = counters.direct_partial_requests;
-    phase.scattered_partials = counters.scattered_partial_requests;
-    phase.single_shard_queries = counters.single_shard_queries;
-    phase.cross_shard_queries = counters.cross_shard_queries;
-    std::vector<ShardInfo> infos = sharded->ShardInfos();
-    if (!infos.empty()) {
-      phase.min_subgraphs_per_shard = infos[0].subgraphs;
-      for (const ShardInfo& info : infos) {
-        phase.min_subgraphs_per_shard =
-            std::min(phase.min_subgraphs_per_shard, info.subgraphs);
-        phase.max_subgraphs_per_shard =
-            std::max(phase.max_subgraphs_per_shard, info.subgraphs);
-      }
-    }
-    if (phase.unsharded_micros > 0) {
-      phase.unsharded_qps = static_cast<double>(phase.requests) /
-                            (phase.unsharded_micros / 1e6);
-    }
-    if (phase.sharded_micros > 0) {
-      phase.sharded_qps =
-          static_cast<double>(phase.requests) / (phase.sharded_micros / 1e6);
-    }
-
-    // Combined shard-batch phase: the same request list goes to the sharded
-    // service asynchronously — every batch_size requests become one
-    // SubmitBatch ticket, issued back-to-back so request production
-    // overlaps solving — and every answer is checked against the unsharded
-    // sequential reference computed above. The reference timing is that
-    // sequential pass, so the speedup reads "sharded async batches vs one
-    // thread asking one unsharded service politely".
-    if (options.batch_size > 0) {
-      ShardBatchPhaseStats& combined = report.shard_batch;
-      combined.num_shards = options.shards;
-      combined.batch_size = options.batch_size;
-      combined.requests = requests.size();
-      combined.unsharded_sequential_micros = phase.unsharded_micros;
-      ShardedServiceCounters before = sharded->counters();
-      MetricsSnapshot registry_before = sharded->Metrics();
-      size_t combined_issued = 0;
-
-      std::vector<BatchTicket> tickets;
-      tickets.reserve(requests.size() / options.batch_size + 1);
-      WallTimer batch_timer;
-      for (size_t begin = 0; begin < requests.size();
-           begin += options.batch_size) {
-        size_t count = std::min(options.batch_size, requests.size() - begin);
-        tickets.push_back(sharded->SubmitBatch(std::vector<RouteRequest>(
-            requests.begin() + begin, requests.begin() + begin + count)));
-      }
-      combined.batches_submitted = tickets.size();
-      std::vector<double> item_samples;
-      item_samples.reserve(requests.size());
-      size_t next = 0;
-      for (const BatchTicket& ticket : tickets) {
-        const Result<RouteBatchResponse>& outcome = ticket.Wait();
-        size_t count = std::min(options.batch_size, requests.size() - next);
-        if (!outcome.ok()) {
-          combined.errors += count;
-          next += count;
-          continue;
-        }
-        const RouteBatchResponse& b = outcome.value();
-        combined_issued += b.items.size();
-        bool uniform = true;
-        for (const RouteBatchItem& item : b.items) {
-          size_t i = next++;
-          if (!item.status.ok() || i >= requests.size()) {
-            ++combined.errors;
-            continue;
-          }
-          if (item.response.epoch != b.epoch) uniform = false;
-          item_samples.push_back(item.response.stats.solve_micros);
-          if (!expected.answered[i]) {
-            ++combined.errors;  // async side answered, reference side failed
-            continue;
-          }
-          if (!SamePaths(item.response.paths, expected.paths[i])) {
-            ++combined.mismatches;
-          }
-        }
-        if (!uniform) ++combined.non_uniform_batches;
-      }
-      combined.sharded_batch_micros = batch_timer.ElapsedMicros();
-      combined.p50_micros = Percentile(item_samples, 50);
-      combined.p95_micros = Percentile(item_samples, 95);
-      combined.p99_micros = Percentile(item_samples, 99);
-
-      ShardedServiceCounters after = sharded->counters();
-      // Registry cross-check for the async phase: counter deltas between
-      // the two scrapes must match what the tickets delivered.
-      MetricsSnapshot registry_after = sharded->Metrics();
-      report.metrics.shard_batch.issued_requests = combined_issued;
-      report.metrics.shard_batch.queries_total =
-          QueriesTotal(registry_after) - QueriesTotal(registry_before);
-      report.metrics.shard_batch.queries_rejected_total =
-          registry_after.CounterTotal("queries_rejected_total") -
-          registry_before.CounterTotal("queries_rejected_total");
-      report.metrics.shard_batch.partial_cache_hits =
-          registry_after.CounterTotal("partial_cache_hits_total") -
-          registry_before.CounterTotal("partial_cache_hits_total");
-      combined.partial_cache_hits =
-          after.partial_cache_hits - before.partial_cache_hits;
-      combined.direct_partials =
-          after.direct_partial_requests - before.direct_partial_requests;
-      combined.scattered_partials =
-          after.scattered_partial_requests - before.scattered_partial_requests;
-      if (combined.unsharded_sequential_micros > 0) {
-        combined.unsharded_sequential_qps =
-            static_cast<double>(combined.requests) /
-            (combined.unsharded_sequential_micros / 1e6);
-      }
-      if (combined.sharded_batch_micros > 0) {
-        combined.sharded_batch_qps =
-            static_cast<double>(combined.requests) /
-            (combined.sharded_batch_micros / 1e6);
-        combined.speedup = combined.unsharded_sequential_micros /
-                           combined.sharded_batch_micros;
-      }
-    }
-
-    MetricsSnapshot sharded_snapshot = sharded->Metrics();
-    sharded_snapshot.AddLabel("service", "sharded");
-    fleet_export.Merge(sharded_snapshot);
+    KSPDG_RETURN_NOT_OK(RunShardPhases(ctx, report, fleet_export));
   }
-
-  // Remote phase: the same drill as the shard phase, but the shards live in
-  // worker processes — a RemoteShardedRoutingService (coordinator + fleet)
-  // against an in-process ShardedRoutingService reference, identical
-  // traffic history (two-phase epoch commit on the remote side), identical
-  // request list, path-by-path parity. A batched leg then answers the list
-  // again through the remote QueryBatch, amortising RPC round trips across
-  // the batch pool.
   if (options.remote_shards > 0) {
-    RemoteShardPhaseStats& phase = report.remote_shard;
-    phase.num_shards = options.remote_shards;
-    phase.num_replicas = options.replicas > 0 ? options.replicas : 1;
-
-    ShardedRoutingServiceOptions reference_options;
-    reference_options.defaults = service_options.defaults;
-    reference_options.dtlp = service_options.dtlp;
-    reference_options.num_shards =
-        static_cast<uint32_t>(options.remote_shards);
-    reference_options.batch_threads = options.batch_threads;
-    Result<std::unique_ptr<ShardedRoutingService>> reference_or =
-        ShardedRoutingService::Create(std::move(remote_reference_graph),
-                                      reference_options);
-    if (!reference_or.ok()) return reference_or.status();
-    std::unique_ptr<ShardedRoutingService> reference =
-        std::move(reference_or).value();
-
-    RemoteShardedRoutingServiceOptions remote_options;
-    remote_options.defaults = service_options.defaults;
-    remote_options.dtlp = service_options.dtlp;
-    remote_options.num_shards = static_cast<uint32_t>(options.remote_shards);
-    remote_options.num_replicas = static_cast<uint32_t>(phase.num_replicas);
-    remote_options.batch_threads = options.batch_threads;
-    remote_options.remote.worker_binary = options.worker_binary;
-    Result<std::unique_ptr<RemoteShardedRoutingService>> remote_or =
-        RemoteShardedRoutingService::Create(std::move(remote_graph),
-                                            remote_options);
-    if (!remote_or.ok()) return remote_or.status();
-    std::unique_ptr<RemoteShardedRoutingService> remote =
-        std::move(remote_or).value();
-
-    TrafficModelOptions replay_options = traffic_options;
-    replay_options.seed = options.seed + 3;
-    TrafficModel replay(reference->graph(), replay_options);
-    // Kept so the R=1 baseline fleet can replay the identical history.
-    std::vector<std::vector<WeightUpdate>> replay_batches;
-    for (size_t b = 0; b < options.num_batches; ++b) {
-      std::vector<WeightUpdate> batch = replay.NextBatch();
-      bool ok = reference->ApplyTrafficBatch(batch).ok();
-      ok = remote->ApplyTrafficBatch(batch).ok() && ok;
-      if (ok) ++phase.batches_applied;
-      replay_batches.push_back(std::move(batch));
-    }
-
-    std::vector<RouteRequest> requests;
-    requests.reserve(work.size() * (options.diverse ? 2 : 1));
-    for (const WorkItem& item : work) {
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      requests.push_back(std::move(request));
-    }
-    if (options.diverse) {
-      for (const WorkItem& item : work) {
-        RouteRequest request;
-        request.kind = QueryKind::kDiverseKsp;
-        request.source = item.source;
-        request.target = item.target;
-        request.options.backend = options.backends[item.backend_index];
-        requests.push_back(std::move(request));
-      }
-      phase.diverse_requests = work.size();
-    }
-    phase.requests = requests.size();
-
-    QueryPassResult expected = RunQueryPass(*reference, requests);
-    phase.errors += expected.errors;
-    phase.inprocess_micros = expected.elapsed_micros;
-
-    auto check_parity = [&](size_t i, const std::vector<Path>& got) {
-      if (!expected.answered[i]) return;
-      if (!SamePaths(got, expected.paths[i])) ++phase.mismatches;
-    };
-
-    MetricsSnapshot registry_before = remote->Metrics();
-    size_t remote_issued = 0;
-
-    // Single-query leg: the same interface-typed pass as the reference.
-    QueryPassResult remote_pass = RunQueryPass(*remote, requests);
-    phase.errors += remote_pass.errors;
-    phase.remote_micros = remote_pass.elapsed_micros;
-    phase.mismatches += CountMismatches(expected, remote_pass);
-    remote_issued += requests.size();
-
-    // Batched leg.
-    phase.batch_size = options.batch_size > 0 ? options.batch_size : 8;
-    WallTimer batch_timer;
-    for (size_t begin = 0; begin < requests.size();
-         begin += phase.batch_size) {
-      size_t count = std::min(phase.batch_size, requests.size() - begin);
-      Result<RouteBatchResponse> batched = remote->QueryBatch(
-          std::span<const RouteRequest>(requests.data() + begin, count));
-      ++phase.batches_submitted;
-      if (!batched.ok()) {
-        phase.errors += count;
-        continue;
-      }
-      const RouteBatchResponse& b = batched.value();
-      remote_issued += b.items.size();
-      for (size_t j = 0; j < b.items.size(); ++j) {
-        if (!b.items[j].status.ok()) {
-          ++phase.errors;
-          continue;
-        }
-        check_parity(begin + j, b.items[j].response.paths);
-      }
-    }
-    phase.remote_batch_micros = batch_timer.ElapsedMicros();
-
-    // Replicated fleets only: read-scaling baseline + failover drill.
-    if (phase.num_replicas > 1) {
-      // Baseline: an identical fleet at R=1 over the same traffic history
-      // and request list — remote_qps vs baseline_r1_qps is the measured
-      // read-scaling of replication.
-      RemoteShardedRoutingServiceOptions r1_options = remote_options;
-      r1_options.num_replicas = 1;
-      Result<std::unique_ptr<RemoteShardedRoutingService>> r1_or =
-          RemoteShardedRoutingService::Create(std::move(remote_r1_graph),
-                                              r1_options);
-      if (!r1_or.ok()) {
-        ++phase.errors;
-      } else {
-        std::unique_ptr<RemoteShardedRoutingService> r1 =
-            std::move(r1_or).value();
-        bool r1_ok = true;
-        for (size_t b = 0; b < options.num_batches; ++b) {
-          if (!r1->ApplyTrafficBatch(replay_batches[b]).ok()) r1_ok = false;
-        }
-        if (r1_ok) {
-          QueryPassResult r1_pass = RunQueryPass(*r1, requests);
-          if (r1_pass.errors == 0 && r1_pass.elapsed_micros > 0) {
-            phase.baseline_r1_qps = static_cast<double>(requests.size()) /
-                                    (r1_pass.elapsed_micros / 1e6);
-          }
-        }
-      }
-
-      // Drill part one: kill the last replica of shard 0 and answer the
-      // whole list again — sibling failover must be error- and
-      // mismatch-free.
-      for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
-        if (info.shard == 0 && info.replica == phase.num_replicas - 1 &&
-            info.pid > 0) {
-          kill(info.pid, SIGKILL);
-        }
-      }
-      QueryPassResult failover_pass = RunQueryPass(*remote, requests);
-      phase.failover_requests += requests.size();
-      phase.failover_errors += failover_pass.errors;
-      phase.failover_mismatches += CountMismatches(expected, failover_pass);
-      remote_issued += requests.size();
-
-      // Drill part two: one more traffic batch auto-restarts the victim
-      // (checkpoint load + history replay), then the list is answered a
-      // third time against a freshly computed reference at the new epoch.
-      std::vector<WeightUpdate> drill_batch = replay.NextBatch();
-      bool drill_ok = reference->ApplyTrafficBatch(drill_batch).ok();
-      drill_ok = remote->ApplyTrafficBatch(drill_batch).ok() && drill_ok;
-      if (drill_ok) ++phase.batches_applied;
-      QueryPassResult healed_expected = RunQueryPass(*reference, requests);
-      QueryPassResult healed_pass = RunQueryPass(*remote, requests);
-      phase.failover_requests += requests.size();
-      phase.failover_errors += healed_expected.errors + healed_pass.errors;
-      phase.failover_mismatches +=
-          CountMismatches(healed_expected, healed_pass);
-      remote_issued += requests.size();
-    }
-
-    phase.final_epoch = remote->CurrentEpoch();
-    if (reference->CurrentEpoch() != remote->CurrentEpoch()) ++phase.errors;
-
-    // Registry cross-check for the remote legs, plus the fleet snapshot:
-    // Metrics() pings every live worker, so the merged result carries each
-    // worker's own registry tagged with its shard label.
-    MetricsSnapshot registry_after = remote->Metrics();
-    report.metrics.remote_shard.issued_requests = remote_issued;
-    report.metrics.remote_shard.queries_total =
-        QueriesTotal(registry_after) - QueriesTotal(registry_before);
-    report.metrics.remote_shard.queries_rejected_total =
-        registry_after.CounterTotal("queries_rejected_total") -
-        registry_before.CounterTotal("queries_rejected_total");
-    report.metrics.remote_shard.partial_cache_hits =
-        registry_after.CounterTotal("partial_cache_hits_total") -
-        registry_before.CounterTotal("partial_cache_hits_total");
-    report.metrics.worker_snapshots =
-        registry_after.GaugeSampleCount("worker_epoch");
-    registry_after.AddLabel("service", "remote");
-    fleet_export.Merge(registry_after);
-
-    RemoteServiceCounters counters = remote->counters();
-    phase.rpc_calls = counters.rpc_calls;
-    phase.rpc_retries = counters.rpc_retries;
-    phase.rpc_deadline_expired = counters.rpc_deadline_expired;
-    phase.worker_restarts = counters.worker_restarts;
-    phase.replica_catchups = counters.replica_catchups;
-    for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
-      phase.reads_by_replica.push_back(info.reads);
-    }
-    phase.partial_cache_hits = counters.sharded.partial_cache_hits;
-    phase.partial_cache_skips = counters.sharded.partial_cache_skips;
-    phase.direct_partials = counters.sharded.direct_partial_requests;
-    phase.scattered_partials = counters.sharded.scattered_partial_requests;
-    if (phase.inprocess_micros > 0) {
-      phase.inprocess_qps = static_cast<double>(phase.requests) /
-                            (phase.inprocess_micros / 1e6);
-    }
-    if (phase.remote_micros > 0) {
-      phase.remote_qps =
-          static_cast<double>(phase.requests) / (phase.remote_micros / 1e6);
-    }
-    if (phase.remote_batch_micros > 0) {
-      phase.remote_batch_qps = static_cast<double>(phase.requests) /
-                               (phase.remote_batch_micros / 1e6);
-    }
+    Result<RemoteShardPhaseStats> remote =
+        RunRemotePhase(ctx, report.metrics, fleet_export);
+    if (!remote.ok()) return remote.status();
+    report.remote_shard = std::move(remote).value();
   }
-
-  // Overload phase: make admission control choose. A fresh service first
-  // answers the distinct request list sequentially — that pass measures its
-  // capacity AND records the no-pressure reference answers — then the same
-  // requests, dressed with rotating priorities / tenants / per-priority
-  // deadlines, are offered open-loop at factor x capacity through
-  // SubmitBatch. The pacer never blocks (QoS submits shed instead), so the
-  // offered rate really is open-loop; the accounting must be exact
-  // (served + shed_deadline + shed_quota == offered) and every served
-  // answer must match the reference path-for-path.
   if (options.overload_factor > 0) {
-    OverloadPhaseStats& phase = report.overload;
-    phase.factor = options.overload_factor;
-
-    RoutingServiceOptions overload_options = service_options;
-    // Small queue + per-tenant quota so both shed reasons and the
-    // priority-eviction path engage at modest offered loads.
-    overload_options.submit_queue_capacity = 8;
-    overload_options.per_tenant_quota = 4;
-    constexpr size_t kNumTenants = 4;
-    phase.queue_capacity = overload_options.submit_queue_capacity;
-    phase.per_tenant_quota = overload_options.per_tenant_quota;
-    phase.num_tenants = kNumTenants;
-
-    Result<std::unique_ptr<RoutingService>> overload_or =
-        RoutingService::Create(std::move(overload_graph), overload_options);
-    if (!overload_or.ok()) return overload_or.status();
-    std::unique_ptr<RoutingService> overload_svc =
-        std::move(overload_or).value();
-
-    std::vector<RouteRequest> distinct;
-    distinct.reserve(work.size());
-    for (const WorkItem& item : work) {
-      RouteRequest request;
-      request.source = item.source;
-      request.target = item.target;
-      request.options.backend = options.backends[item.backend_index];
-      distinct.push_back(std::move(request));
-    }
-
-    // Capacity pass (no pressure, no QoS): reference answers + the rate the
-    // offered load is a multiple of.
-    QueryPassResult reference = RunQueryPass(*overload_svc, distinct);
-    phase.errors += reference.errors;
-    double mean_micros =
-        reference.elapsed_micros / static_cast<double>(distinct.size());
-    if (mean_micros <= 0) mean_micros = 1;
-    phase.capacity_qps =
-        static_cast<double>(distinct.size()) /
-        (reference.elapsed_micros > 0 ? reference.elapsed_micros / 1e6 : 1e-6);
-    AdmissionCounters admission_before =
-        AdmissionCountersFrom(overload_svc->Metrics());
-
-    // Offered load: every distinct request four times over, priorities
-    // drawn from a repeating interactive-light / batch-heavy pattern
-    // (3 : 1 : 6 per ten requests). Under strict priority a uniform mix at
-    // sustained overload starves the batch class completely (every batch
-    // entry is displaced before the queue ever drains down to it); with
-    // this mix interactive + normal under-fill capacity, so the leftover
-    // trickle serves batch work late — which is exactly the contrast the
-    // phase exists to measure (interactive p99 far below batch p99, both
-    // real). Tenants rotate so each one sees the same mix. Deadlines scale
-    // with the measured mean solve time — generous for interactive (it
-    // jumps the queue, so it should nearly always make it), tight for
-    // normal, none for batch (batch is displaced or quota-shed, never
-    // deadline-shed).
-    constexpr RequestPriority kPriorityPattern[] = {
-        RequestPriority::kInteractive, RequestPriority::kInteractive,
-        RequestPriority::kInteractive, RequestPriority::kNormal,
-        RequestPriority::kBatch,       RequestPriority::kBatch,
-        RequestPriority::kBatch,       RequestPriority::kBatch,
-        RequestPriority::kBatch,       RequestPriority::kBatch};
-    constexpr size_t kPatternSize =
-        sizeof(kPriorityPattern) / sizeof(kPriorityPattern[0]);
-    const size_t total = distinct.size() * 4;
-    phase.requests = total;
-    const double interval_micros =
-        1e6 / (options.overload_factor * phase.capacity_qps);
-    const auto interactive_budget = std::chrono::microseconds(
-        static_cast<int64_t>(mean_micros * 64));
-    const auto normal_budget =
-        std::chrono::microseconds(static_cast<int64_t>(mean_micros * 16));
-    std::vector<std::string> tenants;
-    for (size_t t = 0; t < kNumTenants; ++t) {
-      tenants.push_back(std::string("t") + std::to_string(t));
-    }
-
-    struct OverloadOutcome {
-      AdmissionOutcome admission = AdmissionOutcome::kRejected;
-      bool ok = false;
-      bool mismatch = false;
-      double latency_micros = 0;
-    };
-    std::vector<OverloadOutcome> outcomes(total);
-    std::vector<BatchTicket> tickets;
-    tickets.reserve(total);
-    // Tickets are fulfilled BEFORE their callbacks run, so Wait() alone
-    // does not order the slot writes below against the reads after the
-    // loop; this counter does.
-    std::atomic<size_t> callbacks_done{0};
-
-    WallTimer overload_timer;
-    const auto start = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < total; ++i) {
-      std::this_thread::sleep_until(
-          start + std::chrono::microseconds(
-                      static_cast<int64_t>(interval_micros * i)));
-      const size_t distinct_index = i % distinct.size();
-      RouteRequest request = distinct[distinct_index];
-      request.context.priority = kPriorityPattern[i % kPatternSize];
-      request.context.tenant_id = tenants[i % kNumTenants];
-      const auto now = std::chrono::steady_clock::now();
-      if (request.context.priority == RequestPriority::kInteractive) {
-        request.context.deadline = now + interactive_budget;
-      } else if (request.context.priority == RequestPriority::kNormal) {
-        request.context.deadline = now + normal_budget;
-      }
-      OverloadOutcome* slot = &outcomes[i];
-      const std::vector<Path>* want =
-          reference.answered[distinct_index] ? &reference.paths[distinct_index]
-                                             : nullptr;
-      std::vector<RouteRequest> one;
-      one.push_back(std::move(request));
-      tickets.push_back(overload_svc->SubmitBatch(
-          std::move(one),
-          [slot, want, now,
-           &callbacks_done](const Result<RouteBatchResponse>& result) {
-            slot->latency_micros =
-                std::chrono::duration<double, std::micro>(
-                    std::chrono::steady_clock::now() - now)
-                    .count();
-            if (result.ok() && result.value().items.size() == 1) {
-              const RouteBatchItem& item = result.value().items.front();
-              slot->admission = item.admission;
-              slot->ok = item.status.ok();
-              if (slot->ok && want != nullptr &&
-                  !SamePaths(item.response.paths, *want)) {
-                slot->mismatch = true;
-              }
-            }
-            callbacks_done.fetch_add(1, std::memory_order_release);
-          }));
-    }
-    for (const BatchTicket& ticket : tickets) ticket.Wait();
-    while (callbacks_done.load(std::memory_order_acquire) < total) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-    phase.elapsed_micros = overload_timer.ElapsedMicros();
-    phase.offered_qps =
-        static_cast<double>(total) / (phase.elapsed_micros / 1e6);
-
-    std::vector<std::vector<double>> latency_by_priority(kNumPriorities);
-    for (size_t i = 0; i < total; ++i) {
-      const OverloadOutcome& got = outcomes[i];
-      const size_t priority =
-          static_cast<size_t>(kPriorityPattern[i % kPatternSize]);
-      OverloadPriorityStats& slice = phase.per_priority[priority];
-      ++slice.issued;
-      switch (got.admission) {
-        case AdmissionOutcome::kServed:
-          if (got.ok) {
-            ++phase.admitted;
-            ++slice.served;
-            latency_by_priority[priority].push_back(got.latency_micros);
-            if (got.mismatch) ++phase.mismatches;
-          } else {
-            // Admitted but failed to solve: not an admission outcome at
-            // all — a real error.
-            ++phase.errors;
-            ++slice.errors;
-          }
-          break;
-        case AdmissionOutcome::kShedDeadline:
-          ++phase.shed_deadline;
-          ++slice.shed_deadline;
-          break;
-        case AdmissionOutcome::kShedQuota:
-          ++phase.shed_quota;
-          ++slice.shed_quota;
-          break;
-        case AdmissionOutcome::kRejected:
-          ++phase.errors;
-          ++slice.errors;
-          break;
-      }
-    }
-    phase.accounted = phase.admitted + phase.shed_deadline + phase.shed_quota;
-    if (phase.elapsed_micros > 0) {
-      phase.goodput_qps =
-          static_cast<double>(phase.admitted) / (phase.elapsed_micros / 1e6);
-      for (size_t p = 0; p < kNumPriorities; ++p) {
-        phase.per_priority[p].goodput_qps =
-            static_cast<double>(phase.per_priority[p].served) /
-            (phase.elapsed_micros / 1e6);
-      }
-    }
-    for (size_t p = 0; p < kNumPriorities; ++p) {
-      phase.per_priority[p].p50_micros =
-          Percentile(latency_by_priority[p], 50);
-      phase.per_priority[p].p99_micros =
-          Percentile(latency_by_priority[p], 99);
-    }
-
-    // The service's own registry must tell the same story as the harness
-    // tallies (delta over the overload window; the capacity pass already
-    // bumped admitted once per reference answer).
-    MetricsSnapshot overload_snapshot = overload_svc->Metrics();
-    AdmissionCounters admission_after =
-        AdmissionCountersFrom(overload_snapshot);
-    phase.registry_admitted =
-        admission_after.admitted - admission_before.admitted;
-    phase.registry_shed_deadline =
-        admission_after.shed_deadline - admission_before.shed_deadline;
-    phase.registry_shed_quota =
-        admission_after.shed_quota - admission_before.shed_quota;
-    overload_snapshot.AddLabel("service", "overload");
-    fleet_export.Merge(overload_snapshot);
+    Result<OverloadPhaseStats> overload = RunOverloadPhase(ctx, fleet_export);
+    if (!overload.ok()) return overload.status();
+    report.overload = std::move(overload).value();
   }
-
   report.metrics_export = fleet_export.ToJson();
   return report;
 }

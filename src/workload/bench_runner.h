@@ -17,6 +17,9 @@
 
 namespace kspdg {
 
+/// Knobs of RunMixedBench, one per kspdg_bench flag. docs/BENCHMARKING.md
+/// maps each field to its flag and describes every phase the fields below
+/// switch on; the mixed phase always runs.
 struct BenchOptions {
   /// Dataset registry name ("NY-S", "COL-S", "FLA-S", "CUSA-S").
   std::string dataset = "NY-S";
@@ -39,59 +42,25 @@ struct BenchOptions {
   /// Backends exercised; must all be registered.
   std::vector<std::string> backends = {kBackendKspDg, kBackendYen,
                                        kBackendFindKsp};
-  /// When > 0, a batch-vs-sequential throughput phase runs after the mixed
-  /// workload: the same mixed request list is answered once via sequential
-  /// Query calls and once via QueryBatch in batches of this size.
+  /// > 0 runs the batch phase with this many requests per QueryBatch call
+  /// (and, with `shards`, the shard-batch phase).
   size_t batch_size = 0;
-  /// Worker threads for the service's QueryBatch pool (0 = auto).
+  /// Worker threads for the services' QueryBatch pools (0 = auto).
   unsigned batch_threads = 0;
-  /// When > 0, a sharded-vs-unsharded phase runs after the other phases:
-  /// two fresh services (one ShardedRoutingService with this many shards,
-  /// one RoutingService) receive the identical traffic history and answer
-  /// the same request list, and every sharded answer is checked against the
-  /// unsharded one path-by-path. When batch_size is ALSO > 0, a combined
-  /// shard-batch phase follows: the same request list is submitted to the
-  /// sharded service asynchronously (SubmitBatch) in batches of batch_size
-  /// and every answer is again checked against the unsharded sequential
-  /// reference ("shard_batch" JSON object).
+  /// > 0 runs the shard phase with this many in-process shards.
   size_t shards = 0;
-  /// When > 0, a remote-shard phase runs after the shard phases: a
-  /// RemoteShardedRoutingService with this many out-of-process shard
-  /// workers and an in-process ShardedRoutingService receive the identical
-  /// traffic history (cross-process two-phase epoch commit vs in-process
-  /// fan-out) and answer the same request list — once via sequential remote
-  /// Query calls and once via remote QueryBatch — and every remote answer
-  /// is checked path-by-path against the in-process one ("remote_shard"
-  /// JSON object).
+  /// > 0 runs the remote-shard phase with this many shard_worker processes.
   size_t remote_shards = 0;
-  /// Replica workers per remote shard (>= 1; only meaningful with
-  /// --remote-shards). At > 1 the remote phase additionally measures the
-  /// read-scaling baseline (an identical R=1 fleet answering the same
-  /// list) and runs a failover drill: one replica is killed, the full
-  /// request list is re-answered (sibling failover must yield zero errors
-  /// and zero mismatches), then one more traffic batch auto-restarts and
-  /// catches the victim up, and the list is answered a third time against
-  /// a freshly computed reference.
+  /// Replica workers per remote shard; > 1 adds the R=1 baseline and the
+  /// failover drill to the remote-shard phase.
   size_t replicas = 1;
   /// shard_worker binary for the remote phase (empty = auto-locate next to
   /// the current executable, or $KSPDG_WORKER_BIN).
   std::string worker_binary;
-  /// When > 0, an open-loop overload phase runs after the other phases: a
-  /// fresh RoutingService (pristine graph copy, own registry) first answers
-  /// the request list sequentially to measure its capacity (and record the
-  /// reference answers), then the same requests — with rotating priorities,
-  /// tenants, and per-priority deadlines — are offered open-loop at this
-  /// factor times the measured capacity through SubmitBatch. The phase
-  /// reports goodput, shed counts by reason, per-priority latency
-  /// percentiles, and checks every served answer against the reference
-  /// ("overload" JSON object).
+  /// > 0 runs the overload phase at this multiple of measured capacity.
   double overload_factor = 0;
-  /// When true, a diversity phase runs after the batch phase: the mixed
-  /// request list is answered once as plain kKsp and once as kDiverseKsp
-  /// (over-fetch + MFP/MinHash filter), contrasting the two throughputs
-  /// ("diverse" JSON object). The shard phase, when enabled, additionally
-  /// appends a kDiverseKsp copy of its request list so diverse answers are
-  /// parity-checked sharded vs unsharded.
+  /// Runs the diverse phase, and adds a kDiverseKsp copy of the request
+  /// list to the shard and remote parity workloads.
   bool diverse = false;
   /// θ and over-fetch factor of the diversity phase (service defaults).
   double diverse_theta = 0.5;

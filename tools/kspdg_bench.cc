@@ -1,88 +1,20 @@
 // kspdg_bench: drive RoutingService with a mixed query/update workload
 // against a registry dataset and emit BENCH_*-style JSON.
 //
-// Usage:
-//   kspdg_bench [--dataset NY-S] [--vertices 4096] [--k 4] [--queries 48]
-//               [--batches 6] [--threads 4] [--alpha 0.35] [--tau 0.30]
-//               [--z 0] [--seed 42] [--backends kspdg,yen,findksp]
-//               [--batch-size 0] [--batch-threads 0] [--shards 0]
-//               [--remote-shards 0] [--replicas 1] [--worker-binary PATH]
-//               [--diverse] [--diverse-theta 0.5] [--diverse-overfetch 4]
-//               [--overload-factor 0]
-//               [--out BENCH_service.json] [--metrics-out METRICS.json]
+// Usage: kspdg_bench [--FLAG VALUE ...] [--out FILE] [--metrics-out FILE]
 //
-// --batch-size N (N > 0) appends a batch-vs-sequential throughput phase:
-// the mixed request list is answered once through sequential Query calls
-// and once through QueryBatch in batches of N, and both throughputs land
-// in the BENCH JSON under "batch".
-//
-// --shards N (N > 0) appends a sharded-vs-unsharded phase: a fresh
-// ShardedRoutingService with N shards and a fresh RoutingService receive
-// the identical traffic history, answer the same request list, and every
-// sharded answer is checked path-by-path against the unsharded one. The
-// comparison, routing split (direct vs scatter/gather partials) and both
-// throughputs land in the BENCH JSON under "shard".
-//
-// --shards N --batch-size M together additionally run the combined
-// shard-batch phase: the request list is submitted to the sharded service
-// asynchronously (SubmitBatch tickets, M requests per batch) and every
-// answer is checked against the unsharded sequential reference; parity
-// counters (mismatches, errors, non_uniform_batches — all must be 0),
-// per-shard partial-cache hits and both throughputs land in the BENCH JSON
-// under "shard_batch".
-//
-// --remote-shards N (N > 0) appends the remote-shard phase: a
-// RemoteShardedRoutingService spawns N out-of-process shard_worker
-// processes (unix-socket RPC, two-phase epoch commit), receives the same
-// traffic history as a fresh in-process ShardedRoutingService, and answers
-// the same request list through a sequential and a batched leg; every
-// remote answer is checked path-by-path against the in-process one. Parity
-// counters (mismatches, errors, worker_restarts — all must be 0),
-// transport totals and all three throughputs land in the BENCH JSON under
-// "remote_shard". --worker-binary overrides the shard_worker auto-location
-// (next to the kspdg_bench executable, or $KSPDG_WORKER_BIN).
-//
-// --replicas R (R > 1, with --remote-shards) replicates each remote shard
-// across R workers. The remote phase then also measures the read-scaling
-// baseline (an identical R=1 fleet answering the same list →
-// "baseline_r1_qps", with the per-replica read split in
-// "reads_by_replica") and runs a failover drill: one replica is killed and
-// the list re-answered (failover_errors/failover_mismatches must be 0),
-// then one more traffic batch auto-restarts and catches the victim up
-// ("replica_catchups" >= 1) before a final parity pass.
-//
-// --diverse appends a diverse-vs-plain phase: the mixed request list is
-// answered once as plain kKsp and once as kDiverseKsp (over-fetch k' =
-// k * overfetch, MFP/MinHash filter down to k routes with pairwise
-// similarity <= theta); kept/filtered counts, the mean pairwise similarity,
-// the per-query MFP compression ratio, and both throughputs land in the
-// BENCH JSON under "diverse". With --shards N, the shard parity phase also
-// answers a kDiverseKsp copy of its request list on both services.
-//
-// --overload-factor F (F > 0) appends the open-loop overload phase: a
-// fresh service answers the request list sequentially (measuring its
-// capacity and recording the no-pressure reference answers), then the same
-// requests — priorities rotating interactive/normal/batch, four tenants,
-// per-priority deadlines — are offered through SubmitBatch at F times the
-// measured capacity against a small submission queue with per-tenant
-// quotas. Admission accounting (admitted + shed_deadline + shed_quota ==
-// requests, errors must be 0), goodput, per-priority p50/p99 and the
-// service-registry cross-check land in the BENCH JSON under "overload".
-//
-// --metrics-out FILE writes the merged metrics-registry snapshot of every
-// service the bench built (each sample tagged service="mixed"/"sharded"/
-// "remote"; the remote fleet's worker registries ride along with shard
-// labels) as strict JSON. The BENCH JSON itself always carries a "metrics"
-// object cross-checking those registries against the issued request counts.
-//
-// Set KSPDG_DATA_DIR to run on real DIMACS files instead of the synthetic
-// stand-ins (see src/workload/datasets.h).
+// Every flag, phase and JSON field is described once, in
+// docs/BENCHMARKING.md. A malformed number exits 2 with
+// "invalid value for --FLAG: 'TOKEN'".
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "workload/bench_runner.h"
@@ -113,6 +45,19 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
   return out;
 }
 
+/// Parses the whole of `token` as a T, or exits 2 naming the flag.
+template <typename T>
+T ParseNumber(const std::string& flag, const char* token) {
+  T value{};
+  const char* end = token + std::strlen(token);
+  auto [parsed_end, error] = std::from_chars(token, end, value);
+  if (error != std::errc() || parsed_end != end) {
+    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), token);
+    std::exit(2);
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -128,50 +73,52 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&](auto& field) {
+      field = ParseNumber<std::remove_reference_t<decltype(field)>>(arg,
+                                                                    next());
+    };
     if (arg == "--dataset") {
       options.dataset = next();
     } else if (arg == "--vertices") {
-      options.target_vertices = std::strtoull(next(), nullptr, 10);
+      number(options.target_vertices);
     } else if (arg == "--k") {
-      options.k = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      number(options.k);
     } else if (arg == "--queries") {
-      options.queries_per_backend = std::strtoull(next(), nullptr, 10);
+      number(options.queries_per_backend);
     } else if (arg == "--batches") {
-      options.num_batches = std::strtoull(next(), nullptr, 10);
+      number(options.num_batches);
     } else if (arg == "--threads") {
-      options.query_threads = std::strtoull(next(), nullptr, 10);
+      number(options.query_threads);
     } else if (arg == "--alpha") {
-      options.alpha = std::strtod(next(), nullptr);
+      number(options.alpha);
     } else if (arg == "--tau") {
-      options.tau = std::strtod(next(), nullptr);
+      number(options.tau);
     } else if (arg == "--z") {
-      options.z = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      number(options.z);
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      number(options.seed);
     } else if (arg == "--backends") {
       options.backends = SplitCsv(next());
     } else if (arg == "--batch-size") {
-      options.batch_size = std::strtoull(next(), nullptr, 10);
+      number(options.batch_size);
     } else if (arg == "--batch-threads") {
-      options.batch_threads =
-          static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
+      number(options.batch_threads);
     } else if (arg == "--shards") {
-      options.shards = std::strtoull(next(), nullptr, 10);
+      number(options.shards);
     } else if (arg == "--remote-shards") {
-      options.remote_shards = std::strtoull(next(), nullptr, 10);
+      number(options.remote_shards);
     } else if (arg == "--replicas") {
-      options.replicas = std::strtoull(next(), nullptr, 10);
+      number(options.replicas);
     } else if (arg == "--worker-binary") {
       options.worker_binary = next();
     } else if (arg == "--diverse") {
       options.diverse = true;
     } else if (arg == "--diverse-theta") {
-      options.diverse_theta = std::strtod(next(), nullptr);
+      number(options.diverse_theta);
     } else if (arg == "--diverse-overfetch") {
-      options.diverse_overfetch =
-          static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      number(options.diverse_overfetch);
     } else if (arg == "--overload-factor") {
-      options.overload_factor = std::strtod(next(), nullptr);
+      number(options.overload_factor);
     } else if (arg == "--out") {
       out_file = next();
     } else if (arg == "--metrics-out") {
