@@ -651,7 +651,8 @@ size_t RunMixedPhase(const BenchContext& ctx, RoutingService& service,
   for (size_t b = 0; b < num_backends; ++b) {
     BackendBenchStats& s = stats[b];
     if (s.queries > s.errors) {
-      s.mean_micros = s.total_micros / static_cast<double>(s.queries - s.errors);
+      s.mean_micros =
+          s.total_micros / static_cast<double>(s.queries - s.errors);
     }
     SetPercentiles(latency_samples[b], s);
     if (s.min_epoch == std::numeric_limits<uint64_t>::max()) s.min_epoch = 0;
@@ -1226,7 +1227,8 @@ Result<OverloadPhaseStats> RunOverloadPhase(const BenchContext& ctx,
   phase.capacity_qps =
       Qps(distinct.size(),
           reference.elapsed_micros > 0 ? reference.elapsed_micros : 1);
-  AdmissionCounters admission_before = AdmissionCountersFrom(service->Metrics());
+  AdmissionCounters admission_before =
+      AdmissionCountersFrom(service->Metrics());
 
   phase.requests = distinct.size() * kOverloadRepeats;
   WallTimer overload_timer;
@@ -1242,7 +1244,8 @@ Result<OverloadPhaseStats> RunOverloadPhase(const BenchContext& ctx,
   // bumped admitted once per reference answer).
   MetricsSnapshot snapshot = service->Metrics();
   AdmissionCounters admission_after = AdmissionCountersFrom(snapshot);
-  phase.registry_admitted = admission_after.admitted - admission_before.admitted;
+  phase.registry_admitted =
+      admission_after.admitted - admission_before.admitted;
   phase.registry_shed_deadline =
       admission_after.shed_deadline - admission_before.shed_deadline;
   phase.registry_shed_quota =

@@ -227,8 +227,8 @@ BenchReport MakeDistinctReport() {
 }
 
 TEST(BenchRunnerTest, ToJsonMatchesGoldenFile) {
-  const std::string golden_path =
-      std::string(KSPDG_SOURCE_DIR) + "/tests/fixtures/bench_report.golden.json";
+  const std::string golden_path = std::string(KSPDG_SOURCE_DIR) +
+                                  "/tests/fixtures/bench_report.golden.json";
   const std::string golden = ReadFile(golden_path);
   ASSERT_FALSE(golden.empty()) << "missing fixture " << golden_path;
   EXPECT_EQ(MakeDistinctReport().ToJson(), golden);

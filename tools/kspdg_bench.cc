@@ -74,8 +74,8 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     auto number = [&](auto& field) {
-      field = ParseNumber<std::remove_reference_t<decltype(field)>>(arg,
-                                                                    next());
+      using T = std::remove_reference_t<decltype(field)>;
+      field = ParseNumber<T>(arg, next());
     };
     if (arg == "--dataset") {
       options.dataset = next();
