@@ -903,7 +903,8 @@ Status RunShardPhases(const BenchContext& ctx, BenchReport& report,
 
 /// Read-scaling baseline of a replicated fleet: the sequential throughput
 /// of an identical R=1 fleet over the same traffic history and request
-/// list (0 when any of it fails).
+/// list (0 when a batch or a query fails; an error when the fleet cannot be
+/// created).
 Result<double> BaselineR1Qps(
     const BenchContext& ctx,
     const std::vector<std::vector<WeightUpdate>>& history,
