@@ -255,7 +255,7 @@ Result<TrafficBatchResult> ServingCore::ApplyTrafficBatch(
     std::span<const WeightUpdate> updates) {
   // Validate before any lock: a rejected batch must leave the snapshot
   // untouched (and NumEdges is immutable, so no lock is needed).
-  KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(graph_, updates));
+  KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(graph_.NumEdges(), updates));
   TrafficBatchResult result;
   {
     // Exclusive snapshot section: drain every reader, move the whole

@@ -5,13 +5,13 @@
 
 namespace kspdg {
 
-Status ValidateTrafficBatch(const Graph& graph,
+Status ValidateTrafficBatch(size_t num_edges,
                             std::span<const WeightUpdate> updates) {
   for (const WeightUpdate& update : updates) {
-    if (update.edge >= graph.NumEdges()) {
+    if (update.edge >= num_edges) {
       return Status::InvalidArgument(
           "update references edge " + std::to_string(update.edge) +
-          " out of range (graph has " + std::to_string(graph.NumEdges()) +
+          " out of range (graph has " + std::to_string(num_edges) +
           " edges)");
     }
     if (!(update.new_forward > 0) || !(update.new_backward > 0)) {

@@ -183,10 +183,10 @@ class Graph {
   std::vector<Weight> weight_bwd_;
 };
 
-/// Checks a traffic batch against `graph` before any of it is applied: every
-/// edge must exist and every new weight must be positive. A batch failing
-/// here must be rejected as a whole.
-Status ValidateTrafficBatch(const Graph& graph,
+/// Checks a traffic batch against a graph of `num_edges` edges before any
+/// of it is applied: every edge must exist and every new weight must be
+/// positive. A batch failing here must be rejected as a whole.
+Status ValidateTrafficBatch(size_t num_edges,
                             std::span<const WeightUpdate> updates);
 
 }  // namespace kspdg

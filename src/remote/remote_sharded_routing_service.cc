@@ -59,10 +59,10 @@ std::atomic<uint64_t> g_instance_counter{0};
 // contributing stale paths.
 //
 // Replica routing: each fetch starts at the shard's round-robin cursor and
-// walks the replica set, skipping replicas that are dead or have not
-// committed the pinned epoch; a transport failure marks that replica dead
-// and fails over to the next sibling. Every replica replays the same epoch
-// sequence, so whichever one answers, the bytes are identical. Only a shard
+// walks the replica set, skipping replicas that are dead or not at the
+// pinned epoch; a transport failure marks that replica dead and fails over
+// to the next sibling. Every replica at an epoch holds the same subgraph
+// weights, so whichever one answers, the bytes are identical. Only a shard
 // with no replica able to serve fails the fetch — which poisons the query
 // (see ShardRoutedProvider): one fast status, never a hang and never a
 // silently wrong answer.
@@ -175,7 +175,6 @@ RemoteShardedRoutingService::Create(Graph graph,
   if (options.num_replicas == 0) {
     return Status::InvalidArgument("num_replicas must be >= 1");
   }
-  if (options.max_history_batches == 0) options.max_history_batches = 1;
   const uint32_t requested_shards = options.num_shards;
   const unsigned apply_threads = options.apply_threads;
   std::unique_ptr<RemoteShardedRoutingService> service(
@@ -270,19 +269,10 @@ RemoteShardedRoutingService::Create(Graph graph,
         return restarts;
       });
   {
-    // The replay state is guarded by the snapshot lock; nothing else can
+    // Loads read the master graph under the snapshot lock; nothing else can
     // contend for it yet, and serving starts only once the fleet is up.
     RemoteShardedRoutingService& fleet = *service;
     EpochWriterLock lock(fleet.snapshot_lock_);
-    // Replay source for worker (re)starts: a restarted worker must
-    // re-derive the exact incrementally-maintained state of its peers, so
-    // it loads the latest checkpoint and replays the retained history.
-    // Until the first checkpoint that is the pristine Create-time graph at
-    // epoch 0. (Safe because the partition is weight-independent and worker
-    // partials read only subgraph weight copies: replaying from a
-    // checkpoint lands on the same bytes as replaying from scratch.)
-    fleet.checkpoint_graph_ = fleet.graph_;
-    fleet.checkpoint_epoch_ = 0;
     // On any failure the service destructor reaps the workers already
     // started.
     for (std::unique_ptr<Worker>& worker : fleet.workers_) {
@@ -306,15 +296,17 @@ RemoteShardedRoutingService::NewPartialProvider() const {
   return std::make_unique<RemotePartialProvider>(*this);
 }
 
-// Ships the checkpoint graph to the worker process (which rebuilds the
-// partition + index deterministically and resets to checkpoint_epoch_) and
-// cross-checks the rebuilt ownership against the coordinator's.
-Status RemoteShardedRoutingService::LoadCheckpoint(Worker& worker) const {
+// Ships the master graph at the committed epoch (the worker re-partitions
+// it deterministically and resets to that epoch) and cross-checks the
+// worker's ownership against the coordinator's. Subgraph weights are
+// absolute, so the loaded worker holds the same bytes as a sibling that
+// applied every batch since Create.
+Status RemoteShardedRoutingService::LoadWorker(Worker& worker) const {
   LoadGraphRequest load = LoadGraphRequest::FromGraph(
-      checkpoint_graph_, worker.shard, assignment_.num_shards,
-      dtlp_->options());
+      graph_, worker.shard, assignment_.num_shards,
+      dtlp_->options().partition);
   load.replica_id = worker.replica;
-  load.base_epoch = checkpoint_epoch_;
+  load.base_epoch = CurrentEpoch();
   std::string reply_payload;
   Status called;
   {
@@ -336,32 +328,12 @@ Status RemoteShardedRoutingService::LoadCheckpoint(Worker& worker) const {
         "worker " + std::to_string(worker.shard) +
         " rebuilt a different shard assignment than the coordinator");
   }
-  return called;
-}
-
-// Replays every retained batch with epoch > from_epoch in commit order;
-// prepares are idempotent, so a retry after a lost reply is safe.
-Status RemoteShardedRoutingService::ReplayRetainedHistory(
-    Worker& worker, uint64_t from_epoch) const {
-  Status called;
-  for (size_t b = 0; called.ok() && b < history_.size(); ++b) {
-    const uint64_t epoch = checkpoint_epoch_ + b + 1;
-    if (epoch <= from_epoch) continue;
-    EpochPrepareRequest prepare;
-    prepare.epoch = epoch;
-    prepare.updates = history_[b];
-    std::string prepare_reply;
-    {
-      MutexLock lock(worker.mu);
-      called = worker.client->Call(
-          MessageType::kEpochPrepareRequest, prepare.Encode(),
-          MessageType::kEpochPrepareReply, &prepare_reply,
-          remote_.apply_deadline_ms);
-    }
-    EpochPrepareReply reply;
-    if (called.ok()) called = EpochPrepareReply::Decode(prepare_reply, &reply);
+  if (!called.ok()) {
+    MarkWorkerDead(worker);
+    return called;
   }
-  return called;
+  worker.epoch.store(load.base_epoch, std::memory_order_release);
+  return Status::OK();
 }
 
 Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
@@ -381,44 +353,13 @@ Status RemoteShardedRoutingService::SpawnAndLoadWorker(Worker& worker) const {
   }
   worker.pid.store(pid, std::memory_order_release);
 
-  // Bootstrap: ship the checkpoint (EnsureConnected inside the client keeps
-  // retrying the connect until the deadline, which covers startup), then
-  // replay the retained history so the worker re-derives the exact
-  // incremental index state every live replica has.
-  Status called = LoadCheckpoint(worker);
-  if (called.ok()) called = ReplayRetainedHistory(worker, checkpoint_epoch_);
-  if (!called.ok()) {
-    MarkWorkerDead(worker);
-    return called;
-  }
-  worker.epoch.store(checkpoint_epoch_ + history_.size(),
-                     std::memory_order_release);
+  // The client's first connect after construction (or Disconnect) waits
+  // for the listener until the deadline, which covers worker startup.
+  KSPDG_RETURN_NOT_OK(LoadWorker(worker));
   // Conservative stamp: flush any cached partials derived from the previous
-  // incarnation (they would replay identically, but a flush is always safe).
+  // incarnation (they would be identical, but a flush is always safe).
   routing_->MarkShardWritten(worker.shard, CurrentEpoch());
   worker.alive.store(true, std::memory_order_release);
-  return Status::OK();
-}
-
-Status RemoteShardedRoutingService::CatchUpWorker(Worker& worker) const {
-  const uint64_t target = checkpoint_epoch_ + history_.size();
-  uint64_t at = worker.epoch.load(std::memory_order_acquire);
-  if (at >= target) return Status::OK();
-  Status called;
-  if (at < checkpoint_epoch_) {
-    // The replica fell behind the log truncation point: its missing epochs
-    // are no longer retained individually, so reload it from the
-    // checkpoint before replaying what is.
-    called = LoadCheckpoint(worker);
-    at = checkpoint_epoch_;
-  }
-  if (called.ok()) called = ReplayRetainedHistory(worker, at);
-  if (!called.ok()) {
-    MarkWorkerDead(worker);
-    return called;
-  }
-  worker.epoch.store(target, std::memory_order_release);
-  worker.catchups.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -499,11 +440,13 @@ Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
   Status first_failure = Status::OK();
   for (std::unique_ptr<Worker>& worker : workers_) {
     if (worker->alive.load(std::memory_order_acquire)) {
-      // Alive but lagging (it missed prepares — dropped RPCs, or revived
-      // after the fact): replay it back in place, no respawn needed.
+      // Alive but lagging (it missed prepares, e.g. dropped RPCs): reload
+      // it in place, no respawn needed.
       if (worker->epoch.load(std::memory_order_acquire) < committed) {
-        Status caught = CatchUpWorker(*worker);
-        if (!caught.ok() && first_failure.ok()) {
+        Status caught = LoadWorker(*worker);
+        if (caught.ok()) {
+          worker->catchups.fetch_add(1, std::memory_order_relaxed);
+        } else if (first_failure.ok()) {
           first_failure = std::move(caught);
         }
       }
@@ -521,8 +464,8 @@ Status RemoteShardedRoutingService::RestartDeadWorkersLocked() {
     Status spawned = SpawnAndLoadWorker(*worker);
     if (spawned.ok()) {
       worker->restarts.fetch_add(1, std::memory_order_relaxed);
-      // A respawn past epoch 0 replayed history to rejoin the rotation —
-      // that is a catch-up in the replication sense.
+      // A respawn past epoch 0 loaded weights it never saw batch by batch
+      // to rejoin the rotation — a catch-up in the replication sense.
       if (committed > 0) {
         worker->catchups.fetch_add(1, std::memory_order_relaxed);
       }
@@ -600,14 +543,14 @@ TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
     expected_of_shard[shard] += group.updates.size();
   }
 
-  // Phase one: fan the FULL batch out to every replica that is alive at
-  // the preceding epoch (each filters to its owned subgraphs with the same
+  // Fan the FULL batch out to every replica that is alive at the
+  // preceding epoch (each filters to its owned subgraphs with the same
   // deterministic grouping). The epoch is always published
   // coordinator-side — the master state below is the source of truth, so a
   // failed prepare marks the replica dead (its reads fail over to
   // siblings until restart) instead of failing or stalling the batch. A
   // replica already lagging is skipped — prepares apply strictly in epoch
-  // order — and stays out of the read rotation until the next catch-up.
+  // order — and stays out of the read rotation until it is reloaded.
   EpochPrepareRequest prepare;
   prepare.epoch = epoch;
   prepare.updates.assign(updates.begin(), updates.end());
@@ -665,59 +608,7 @@ TrafficBatchResult RemoteShardedRoutingService::ApplyBatch(
 
   // Master apply: the same step RoutingService takes, so the filter step
   // (bounds, skeleton, CANDS) stays answer-identical batch for batch.
-  TrafficBatchResult result = ApplyToMaster(updates);
-  // Every applied batch enters the replay log (== the epoch sequence).
-  history_.emplace_back(updates.begin(), updates.end());
-  if (history_.size() >= max_history_batches_) {
-    // Bound the retained history with a checkpoint: snapshot the committed
-    // master weights and truncate the log. A replica restarting later loads
-    // this snapshot and replays only the batches committed after it — the
-    // partition is weight-independent, so checkpoint + replay reconstructs
-    // bit-identical worker state.
-    checkpoint_graph_ = graph_;
-    checkpoint_epoch_ = epoch;
-    history_.clear();
-  }
-
-  // Phase two: best-effort commit acknowledgements (pure bookkeeping — a
-  // worker that misses one learns the epoch from its next prepare; a
-  // replica that skipped the prepare is skipped here too).
-  EpochCommitRequest commit;
-  commit.epoch = epoch;
-  const std::string commit_payload = commit.Encode();
-  const auto& commit_hook = remote_.before_commit_hook;
-  apply_pool_->ParallelFor(
-      workers_.size(), /*chunk=*/1, [&](unsigned, size_t wi) {
-        Worker& worker = *workers_[wi];
-        if (!worker.alive.load(std::memory_order_acquire)) return;
-        if (worker.epoch.load(std::memory_order_acquire) != epoch) return;
-        if (commit_hook) {
-          ReplicaFaultPoint point{worker.shard, worker.replica,
-                                  worker.pid.load(std::memory_order_relaxed),
-                                  epoch};
-          if (!commit_hook(point)) return;
-        }
-        std::string reply_payload;
-        Status called;
-        {
-          MutexLock worker_lock(worker.mu);
-          called = worker.client->Call(
-              MessageType::kEpochCommitRequest, commit_payload,
-              MessageType::kEpochCommitReply, &reply_payload);
-        }
-        if (!called.ok()) MarkWorkerDead(worker);
-      });
-  return result;
-}
-
-uint64_t RemoteShardedRoutingService::checkpoint_epoch() const {
-  EpochReaderLock pin(snapshot_lock_);
-  return checkpoint_epoch_;
-}
-
-size_t RemoteShardedRoutingService::history_size() const {
-  EpochReaderLock pin(snapshot_lock_);
-  return history_.size();
+  return ApplyToMaster(updates);
 }
 
 RemoteServiceCounters RemoteShardedRoutingService::counters() const {

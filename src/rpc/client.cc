@@ -55,12 +55,17 @@ Status RpcClient::EnsureConnected(RpcDeadline deadline) {
     Result<int> fd = TryConnect(socket_path_);
     if (fd.ok()) {
       fd_ = fd.value();
+      await_listener_ = false;
       return Status::OK();
     }
-    if (fd.status().code() != StatusCode::kUnavailable) return fd.status();
-    // Worker not listening yet (startup) or gone (crash): wait briefly and
-    // retry inside the attempt's deadline, so a booting worker is picked up
-    // without a dedicated handshake.
+    // A refused connect after the worker once answered means it is gone
+    // (crash): fail the attempt now rather than poll a dead socket.
+    if (fd.status().code() != StatusCode::kUnavailable || !await_listener_) {
+      return fd.status();
+    }
+    // Worker not listening yet (startup): wait briefly and retry inside the
+    // attempt's deadline, so a booting worker is picked up without a
+    // dedicated handshake.
     if (std::chrono::steady_clock::now() +
             std::chrono::milliseconds(10) >= deadline) {
       return fd.status();
@@ -72,6 +77,7 @@ Status RpcClient::EnsureConnected(RpcDeadline deadline) {
 void RpcClient::Disconnect() {
   MutexLock guard(mu_);
   DisconnectLocked();
+  await_listener_ = true;
 }
 
 void RpcClient::DisconnectLocked() {

@@ -9,10 +9,12 @@
 // observes a per-attempt deadline and a bounded retry budget with
 // exponential backoff: a slow or dead worker degrades to a clean
 // kDeadlineExceeded / kUnavailable status, never a hang. Reconnection is
-// automatic per attempt, so a worker restarted under the same socket path
-// is picked up transparently — which is safe because every protocol
-// request is idempotent (partials and pings are reads; epoch prepare
-// replays its stored reply; load-graph resets the worker).
+// automatic per attempt — which is safe because every protocol request is
+// idempotent (partials and pings are reads; epoch prepare replays its
+// stored reply; load-graph resets the worker). Only the first connect after
+// construction or Disconnect() waits for the worker to start listening;
+// any later refused connect means the worker died, and fails the attempt at
+// once instead of stalling until the deadline.
 #ifndef KSPDG_RPC_CLIENT_H_
 #define KSPDG_RPC_CLIENT_H_
 
@@ -57,9 +59,9 @@ class RpcClient {
               MessageType expected_reply_type, std::string* reply_payload,
               int64_t deadline_ms_override = 0);
 
-  /// Drops the connection; the next Call reconnects.
+  /// Drops the connection; the next Call reconnects, waiting for a (new)
+  /// worker to start listening on the socket path.
   void Disconnect();
-
 
   const std::string& socket_path() const { return socket_path_; }
 
@@ -85,8 +87,9 @@ class RpcClient {
   }
 
  private:
-  /// Connects (non-blocking) if not already connected, waiting for the
-  /// socket to appear/accept until the deadline — covers worker startup.
+  /// Connects (non-blocking) if not already connected. While
+  /// `await_listener_` is set, waits for the socket to appear/accept until
+  /// the deadline — covers worker startup.
   Status EnsureConnected(RpcDeadline deadline) REQUIRES(mu_);
   /// Disconnect body, for call sites already inside a Call round trip.
   void DisconnectLocked() REQUIRES(mu_);
@@ -97,6 +100,9 @@ class RpcClient {
   /// across socket I/O but never while acquiring another lock.
   Mutex mu_{"RpcClient::mu_"};
   int fd_ GUARDED_BY(mu_) = -1;
+  /// Set at construction and by Disconnect(), cleared by the first
+  /// successful connect.
+  bool await_listener_ GUARDED_BY(mu_) = true;
   std::atomic<uint64_t> calls_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> deadline_expired_{0};

@@ -142,14 +142,13 @@ Status WireReader::ExpectEnd() const {
 
 // --- LoadGraph -------------------------------------------------------------
 
-LoadGraphRequest LoadGraphRequest::FromGraph(const Graph& graph,
-                                             ShardId shard_id,
-                                             uint32_t num_shards,
-                                             const DtlpOptions& dtlp) {
+LoadGraphRequest LoadGraphRequest::FromGraph(
+    const Graph& graph, ShardId shard_id, uint32_t num_shards,
+    const PartitionOptions& partition) {
   LoadGraphRequest req;
   req.shard_id = shard_id;
   req.num_shards = num_shards;
-  req.dtlp = dtlp;
+  req.partition = partition;
   req.directed = graph.directed();
   req.num_vertices = graph.NumVertices();
   size_t edges = graph.NumEdges();
@@ -204,10 +203,7 @@ std::string LoadGraphRequest::Encode() const {
   w.U32(num_shards);
   w.U32(replica_id);
   w.U64(base_epoch);
-  w.U32(dtlp.partition.max_vertices);
-  w.U32(dtlp.index.xi);
-  w.U32(dtlp.index.max_yen_pulls);
-  w.U32(dtlp.build_threads);
+  w.U32(partition.max_vertices);
   w.U8(directed ? 1 : 0);
   w.U64(num_vertices);
   w.U64(edge_u.size());
@@ -229,10 +225,7 @@ Status LoadGraphRequest::Decode(std::string_view payload,
   KSPDG_RETURN_NOT_OK(r.U32(&out->num_shards));
   KSPDG_RETURN_NOT_OK(r.U32(&out->replica_id));
   KSPDG_RETURN_NOT_OK(r.U64(&out->base_epoch));
-  KSPDG_RETURN_NOT_OK(r.U32(&out->dtlp.partition.max_vertices));
-  KSPDG_RETURN_NOT_OK(r.U32(&out->dtlp.index.xi));
-  KSPDG_RETURN_NOT_OK(r.U32(&out->dtlp.index.max_yen_pulls));
-  KSPDG_RETURN_NOT_OK(r.U32(&out->dtlp.build_threads));
+  KSPDG_RETURN_NOT_OK(r.U32(&out->partition.max_vertices));
   uint8_t directed = 0;
   KSPDG_RETURN_NOT_OK(r.U8(&directed));
   out->directed = directed != 0;
@@ -371,32 +364,6 @@ Status EpochPrepareReply::Decode(std::string_view payload,
   KSPDG_RETURN_NOT_OK(r.U64(&out->epoch));
   KSPDG_RETURN_NOT_OK(r.U64(&out->updates_applied));
   KSPDG_RETURN_NOT_OK(r.U64(&out->subgraphs_touched));
-  return r.ExpectEnd();
-}
-
-std::string EpochCommitRequest::Encode() const {
-  WireWriter w;
-  w.U64(epoch);
-  return w.Take();
-}
-
-Status EpochCommitRequest::Decode(std::string_view payload,
-                                  EpochCommitRequest* out) {
-  WireReader r(payload);
-  KSPDG_RETURN_NOT_OK(r.U64(&out->epoch));
-  return r.ExpectEnd();
-}
-
-std::string EpochCommitReply::Encode() const {
-  WireWriter w;
-  w.U64(epoch);
-  return w.Take();
-}
-
-Status EpochCommitReply::Decode(std::string_view payload,
-                                EpochCommitReply* out) {
-  WireReader r(payload);
-  KSPDG_RETURN_NOT_OK(r.U64(&out->epoch));
   return r.ExpectEnd();
 }
 

@@ -6,11 +6,11 @@
 // little-endian fixed width; doubles travel as their IEEE-754 bit pattern
 // (bit-exact round-trip — the remote parity guarantee depends on it).
 //
-// The protocol is deliberately small: load-graph (worker bootstrap +
-// restart), partial-list request/reply (the KSP-DG refine step), epoch
-// prepare/commit (the cross-process half of the two-phase traffic apply),
-// health ping, and shutdown. An ErrorReply carries a Status back for any
-// request the worker rejects.
+// The protocol is deliberately small: load-graph (worker bootstrap,
+// restart and catch-up), partial-list request/reply (the KSP-DG refine
+// step), epoch prepare (the worker's share of a traffic batch), health
+// ping, and shutdown. An ErrorReply carries a Status back for any request
+// the worker rejects.
 #ifndef KSPDG_RPC_WIRE_H_
 #define KSPDG_RPC_WIRE_H_
 
@@ -21,10 +21,10 @@
 
 #include "core/status.h"
 #include "core/types.h"
-#include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "ksp/path.h"
 #include "kspdg/partial_provider.h"
+#include "partition/partitioner.h"
 #include "partition/shard_assignment.h"
 
 namespace kspdg {
@@ -37,8 +37,7 @@ enum class MessageType : uint8_t {
   kPartialsReply = 4,
   kEpochPrepareRequest = 5,
   kEpochPrepareReply = 6,
-  kEpochCommitRequest = 7,
-  kEpochCommitReply = 8,
+  // 7 and 8 belonged to a retired epoch-commit message; never reuse them.
   kPingRequest = 9,
   kPingReply = 10,
   kShutdownRequest = 11,
@@ -85,20 +84,19 @@ class WireReader {
 
 // --- Messages --------------------------------------------------------------
 
-/// Bootstraps (or resets) a worker: the full graph, the DTLP build knobs,
+/// Bootstraps (or resets) a worker: the full graph, the partition knobs,
 /// and which shard of the resulting partition this worker owns. The worker
-/// rebuilds the partition/index deterministically from these inputs, so its
-/// subgraph state is identical to the coordinator's by construction.
+/// re-partitions deterministically from these inputs, so its subgraph
+/// weight copies are identical to the coordinator's by construction.
 struct LoadGraphRequest {
   ShardId shard_id = 0;
   uint32_t num_shards = 1;
   /// Which replica of the shard this worker is (diagnostics + ping echo).
   uint32_t replica_id = 0;
-  /// Epoch the shipped weights correspond to. A freshly loaded worker
-  /// starts at this epoch, not zero — the coordinator ships its latest
-  /// checkpoint and replays only the batches committed after it.
+  /// Epoch the shipped weights correspond to. A loaded worker starts at
+  /// this epoch, not zero: the coordinator ships its committed weights.
   uint64_t base_epoch = 0;
-  DtlpOptions dtlp;
+  PartitionOptions partition;
   /// The graph: topology + initial vfrag weights + current weights.
   bool directed = false;
   uint64_t num_vertices = 0;
@@ -112,7 +110,7 @@ struct LoadGraphRequest {
   /// Captures `graph` into the request fields.
   static LoadGraphRequest FromGraph(const Graph& graph, ShardId shard_id,
                                     uint32_t num_shards,
-                                    const DtlpOptions& dtlp);
+                                    const PartitionOptions& partition);
   /// Reconstructs the graph (validated; rejects corrupt payloads).
   Result<Graph> BuildGraph() const;
 
@@ -153,12 +151,13 @@ struct PartialsReply {
   static Status Decode(std::string_view payload, PartialsReply* out);
 };
 
-/// Phase one of the cross-process traffic apply: the full update batch for
+/// The worker's share of a traffic batch: the full update batch for
 /// `epoch` (== worker's current epoch + 1). The worker filters the batch to
 /// its owned subgraphs with the same deterministic grouping the coordinator
-/// uses, applies Algorithm 2 to them, and replies. Re-sending the epoch the
-/// worker already prepared replays the stored reply (absolute weights make
-/// the apply idempotent), so a retry after a lost reply is safe.
+/// uses, sets the new weights on its subgraph copies, and replies.
+/// Re-sending the epoch the worker already prepared replays the stored
+/// reply (absolute weights make the apply idempotent), so a retry after a
+/// lost reply is safe.
 struct EpochPrepareRequest {
   uint64_t epoch = 0;
   std::vector<WeightUpdate> updates;
@@ -177,23 +176,6 @@ struct EpochPrepareReply {
 
   std::string Encode() const;
   static Status Decode(std::string_view payload, EpochPrepareReply* out);
-};
-
-/// Phase two: the coordinator committed `epoch`. Bookkeeping only — the
-/// worker's state already moved during prepare; a worker that misses the
-/// commit learns it implicitly from the next prepare or partials request.
-struct EpochCommitRequest {
-  uint64_t epoch = 0;
-
-  std::string Encode() const;
-  static Status Decode(std::string_view payload, EpochCommitRequest* out);
-};
-
-struct EpochCommitReply {
-  uint64_t epoch = 0;
-
-  std::string Encode() const;
-  static Status Decode(std::string_view payload, EpochCommitReply* out);
 };
 
 struct PingRequest {

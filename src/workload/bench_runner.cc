@@ -924,9 +924,9 @@ Result<double> BaselineR1Qps(
 /// Failover drill of a replicated fleet. Part one kills the last replica of
 /// shard 0 and answers the whole list again: sibling failover must be
 /// error- and mismatch-free. Part two applies one more traffic batch, which
-/// auto-restarts the victim (checkpoint load + history replay), and answers
-/// the list a third time against a freshly computed reference at the new
-/// epoch. Returns the requests issued to the remote service.
+/// auto-restarts the victim (respawn + load of the committed graph), and
+/// answers the list a third time against a freshly computed reference at
+/// the new epoch. Returns the requests issued to the remote service.
 size_t RunFailoverDrill(ShardedRoutingService& reference,
                         RemoteShardedRoutingService& remote,
                         TrafficModel& replay,
@@ -954,11 +954,12 @@ size_t RunFailoverDrill(ShardedRoutingService& reference,
 
 /// Remote phase: the shard phase's drill with the shards in worker
 /// processes — a RemoteShardedRoutingService against an in-process
-/// ShardedRoutingService reference, identical traffic history (two-phase
-/// epoch commit on the remote side), identical request list, path-by-path
-/// parity. A batched leg answers the list again through the remote
-/// QueryBatch; replicated fleets add the R=1 baseline and the failover
-/// drill. `metrics` receives the remote registry's delta over all legs.
+/// ShardedRoutingService reference, identical traffic history (epoch
+/// prepares across the worker fleet on the remote side), identical request
+/// list, path-by-path parity. A batched leg answers the list again through
+/// the remote QueryBatch; replicated fleets add the R=1 baseline and the
+/// failover drill. `metrics` receives the remote registry's delta over all
+/// legs.
 Result<RemoteShardPhaseStats> RunRemotePhase(const BenchContext& ctx,
                                              BenchMetricsSummary& metrics,
                                              MetricsSnapshot& fleet_export) {

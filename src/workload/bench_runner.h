@@ -199,8 +199,8 @@ struct RemoteShardPhaseStats {
   /// Remote answers that differed from the in-process ones in route or
   /// distance, across both legs (must be 0).
   size_t mismatches = 0;
-  /// Traffic batches applied identically to both services (two-phase epoch
-  /// commit across the worker fleet on the remote side).
+  /// Traffic batches applied identically to both services (epoch prepares
+  /// across the worker fleet on the remote side).
   size_t batches_applied = 0;
   /// Global epoch both services ended at (they must agree).
   uint64_t final_epoch = 0;
@@ -211,7 +211,7 @@ struct RemoteShardPhaseStats {
   /// Workers respawned during the phase (0 unless the failover drill ran,
   /// which respawns its one victim).
   uint64_t worker_restarts = 0;
-  /// Replicas replayed back to the committed epoch (respawn or in-place;
+  /// Replicas reloaded at the committed epoch (respawn or in-place;
   /// >= 1 after the failover drill).
   uint64_t replica_catchups = 0;
   /// Partial fetches served per replica, fleet order (shard-major:

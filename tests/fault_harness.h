@@ -5,12 +5,12 @@
 //       act on a NAMED (shard, replica) worker process by pid — SIGKILL
 //       for a crash, SIGSTOP/SIGCONT for a process whose socket stops
 //       answering (the deadline path, not the connection-reset path).
-//   FaultPlan + MakePrepareHook / MakeCommitHook
-//       script the coordinator's two-phase commit: drop the next N
-//       prepare (or commit) RPCs of the named replica — it silently
-//       misses those epochs exactly as a lost message would — or kill
-//       the replica at the instant its prepare would be sent, which is
-//       the deterministic "died mid-two-phase-commit" drill.
+//   FaultPlan + MakePrepareHook
+//       script the coordinator's prepare fan-out: drop the next N
+//       prepare RPCs of the named replica — it silently misses those
+//       epochs exactly as a lost message would — or kill the replica at
+//       the instant its prepare would be sent, which is the deterministic
+//       "died mid-apply" drill.
 //
 // The plan lives behind a shared_ptr captured by the hooks, so a test
 // arms and re-arms faults AFTER the service is built, and the hook state
@@ -25,10 +25,13 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "parity_harness.h"
 #include "remote/remote_sharded_routing_service.h"
 
@@ -89,10 +92,8 @@ struct FaultPlan {
   uint32_t replica = 0;
   /// Drop the next N prepare RPCs of the replica (it silently lags).
   std::atomic<int> drop_prepares{0};
-  /// Drop the next N commit RPCs (bookkeeping loss; state already moved).
-  std::atomic<int> drop_commits{0};
   /// SIGKILL the replica at its next prepare fault point — the
-  /// deterministic mid-two-phase-commit crash. One-shot.
+  /// deterministic mid-apply crash. One-shot.
   std::atomic<bool> kill_at_prepare{false};
   std::atomic<int> prepares_seen{0};
 };
@@ -123,21 +124,18 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakePrepareHook(
   };
 }
 
-inline std::function<bool(const ReplicaFaultPoint&)> MakeCommitHook(
-    std::shared_ptr<FaultPlan> plan) {
-  return [plan](const ReplicaFaultPoint& point) {
-    if (point.shard != plan->shard || point.replica != plan->replica) {
-      return true;
-    }
-    int armed = plan->drop_commits.load(std::memory_order_relaxed);
-    while (armed > 0) {
-      if (plan->drop_commits.compare_exchange_weak(
-              armed, armed - 1, std::memory_order_acq_rel)) {
-        return false;
-      }
-    }
-    return true;
-  };
+/// The (shard, replica) worker's own counter `name` in a fleet scrape
+/// (RemoteShardedRoutingService::Metrics tags worker samples with both
+/// labels), or 0 when that worker reported no such counter.
+inline uint64_t ReplicaCounter(const MetricsSnapshot& fleet,
+                               std::string_view name, ShardId shard,
+                               uint32_t replica) {
+  const MetricLabels want = {{"replica", std::to_string(replica)},
+                             {"shard", std::to_string(shard)}};
+  for (const CounterSample& sample : fleet.counters) {
+    if (sample.name == name && sample.labels == want) return sample.value;
+  }
+  return 0;
 }
 
 /// Replicated fleet with fault-suite deadlines (a dead worker is detected
@@ -145,20 +143,17 @@ inline std::function<bool(const ReplicaFaultPoint&)> MakeCommitHook(
 /// off by default so tests control exactly when revival happens.
 inline std::unique_ptr<RemoteShardedRoutingService> MustCreateReplicated(
     Graph g, uint32_t z, uint32_t num_shards, uint32_t num_replicas,
-    std::shared_ptr<FaultPlan> plan = nullptr, bool auto_restart = false,
-    size_t max_history_batches = 32) {
+    std::shared_ptr<FaultPlan> plan = nullptr, bool auto_restart = false) {
   RemoteShardedRoutingServiceOptions options;
   options.dtlp.partition.max_vertices = z;
   options.num_shards = num_shards;
   options.num_replicas = num_replicas;
-  options.max_history_batches = max_history_batches;
   options.remote.rpc_deadline_ms = 300;
   options.remote.rpc_max_retries = 0;
   options.remote.rpc_backoff_ms = 1;
   options.remote.auto_restart = auto_restart;
   if (plan != nullptr) {
     options.remote.before_prepare_hook = MakePrepareHook(plan);
-    options.remote.before_commit_hook = MakeCommitHook(plan);
   }
   Result<std::unique_ptr<RemoteShardedRoutingService>> service =
       RemoteShardedRoutingService::Create(std::move(g), std::move(options));

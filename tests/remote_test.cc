@@ -1,10 +1,10 @@
 // Tests for the out-of-process serving layer (src/remote + the
 // shard_worker binary): byte-identical parity with the in-process
 // ShardedRoutingService at 1/2/4 shards for every QueryKind, single and
-// batched, before and after traffic; the cross-process two-phase epoch
-// commit; and the fault model — killed workers degrade to clean per-query
-// Status errors (never a hang, never a wrong answer) and come back via
-// restart + history replay with their exact incremental state.
+// batched, before and after traffic; the cross-process epoch prepare; and
+// the fault model — killed workers degrade to clean per-query Status
+// errors (never a hang, never a wrong answer) and come back via restart +
+// a load of the committed graph with their exact subgraph weights.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -308,7 +308,7 @@ TEST(RemoteShardedRoutingServiceTest, PartialCachesServeDuplicateInBatch) {
 
 // ---------------------------------------------------------------------------
 // Fault model: killed workers degrade to per-query errors, never a hang or
-// a wrong answer; restart + replay restores the exact state.
+// a wrong answer; restart + reload restores the exact state.
 // ---------------------------------------------------------------------------
 
 // Fault-suite options: tight per-attempt deadline so a dead worker is
@@ -396,8 +396,8 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(service != nullptr && reference != nullptr);
 
-  // Commit real history first: the restarted workers must re-derive the
-  // exact incrementally-maintained state, not a rebuild from flat weights.
+  // Commit real history first: the restarted workers must land on the
+  // weights their predecessors reached batch by batch.
   TrafficModelOptions traffic_options;
   traffic_options.alpha = 0.5;
   traffic_options.seed = 61;
@@ -424,7 +424,7 @@ TEST(RemoteFaultTest, RestartDeadWorkersReplaysHistoryAndRestoresParity) {
   EXPECT_GT(total_restarts, 0u);
   EXPECT_EQ(service->counters().worker_restarts, total_restarts);
 
-  // Full parity at the committed snapshot: replay reconstructed the state.
+  // Full parity at the committed snapshot: the reload restored the state.
   for (VertexId s = 0; s < 6; ++s) {
     for (const char* backend : {kBackendKspDg, kBackendYen}) {
       RouteRequest request = MakeRequest(s, 29 - s, backend, 4);
@@ -460,7 +460,7 @@ TEST(RemoteFaultTest, ApplyTrafficBatchAutoRestartsDeadWorkers) {
 
   KillAllWorkers(*service);
 
-  // The next traffic batch revives the fleet (replaying batch 1), then
+  // The next traffic batch revives the fleet (loading it at epoch 1), then
   // commits epoch 2 across it.
   std::vector<WeightUpdate> second = traffic.NextBatch();
   ASSERT_TRUE(reference->ApplyTrafficBatch(second).ok());

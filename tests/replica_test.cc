@@ -2,12 +2,12 @@
 // replication must be invisible in the answers — byte-identical to the
 // in-process ShardedRoutingService no matter which replica serves each
 // partial fetch, across replica/shard counts, traffic, and every fault the
-// harness can script (a replica killed mid-two-phase-commit, a replica
-// silently missing epochs, a whole shard dead). Catch-up — in-place replay
-// for a lagging replica, checkpoint + replay for a respawned one — must
-// converge every replica back to the committed epoch with bit-identical
-// state. Drills named *Replica*/*Concurrent* also run under the tsan
-// repeat leg.
+// harness can script (a replica killed mid-apply, a replica silently
+// missing epochs, a whole shard dead). Catch-up — an in-place reload for a
+// lagging replica, respawn + load for a dead one, both with the committed
+// graph — must converge every replica back to the committed epoch with
+// bit-identical state. Drills named *Replica*/*Concurrent* also run under
+// the tsan repeat leg.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -140,8 +140,8 @@ TEST(ReplicaTest, ReplicaReadsRotateRoundRobin) {
 // Replication invariants under faults.
 // ---------------------------------------------------------------------------
 
-// Kill one replica deterministically mid-two-phase-commit (at the instant
-// its prepare would go out): the batch still commits, the sibling serves
+// Kill one replica deterministically mid-apply (at the instant its prepare
+// would go out): the batch still commits, the sibling serves
 // every read, and answers stay byte-identical to the in-process service.
 TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 419);
@@ -242,7 +242,7 @@ TEST(ReplicaTest, ReplicaLaggingCatchUpConvergesEpochAndAnswers) {
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
 
   // replica_epoch converged: every replica (exported gauge included) is at
-  // the committed epoch, and the in-place replay counted as a catch-up.
+  // the committed epoch, and the in-place reload counted as a catch-up.
   for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
     EXPECT_TRUE(info.alive) << info.shard << "/" << info.replica;
     EXPECT_EQ(info.epoch, 2u) << info.shard << "/" << info.replica;
@@ -262,6 +262,8 @@ TEST(ReplicaTest, ReplicaLaggingCatchUpConvergesEpochAndAnswers) {
   }
   EXPECT_EQ(converged, 4u);
   EXPECT_GE(fleet.CounterTotal("replica_catchups_total"), 1u);
+  // Caught up by a second load in place (the first was at Create).
+  EXPECT_EQ(ReplicaCounter(fleet, "worker_graph_loads_total", 1, 0), 2u);
 
   // Post-catch-up answers match (the caught-up replica is back in
   // rotation, so these fetches exercise it too).
@@ -322,16 +324,14 @@ TEST(ReplicaTest, ReplicaAllDeadShardYieldsUnavailableNoHang) {
             remote->counters().sharded.base.queries_rejected);
 }
 
-// The retained history is bounded by checkpoints, and a replica respawned
-// AFTER a checkpoint (its pre-checkpoint batches are gone) still converges
-// bit-identically: it loads the checkpoint snapshot and replays only the
-// tail.
+// A replica respawned after several batches never sees those batches: it
+// loads the committed graph once and still converges bit-identically,
+// because subgraph weights are absolute.
 TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 433);
   Graph g_ref = g;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
-      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2,
-      /*plan=*/nullptr, /*auto_restart=*/false, /*max_history_batches=*/2);
+      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2);
   std::unique_ptr<ShardedRoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
@@ -345,13 +345,7 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
     ASSERT_TRUE(reference->ApplyTrafficBatch(batch).ok());
     ASSERT_TRUE(remote->ApplyTrafficBatch(batch).ok());
   }
-  // Batches 1+2 hit max_history_batches=2 -> checkpoint at epoch 2, log
-  // truncated; batch 3 is the only retained entry.
-  EXPECT_EQ(remote->checkpoint_epoch(), 2u);
-  EXPECT_EQ(remote->history_size(), 1u);
-
-  // Kill a replica and respawn it: batches 1-2 are no longer replayable,
-  // so convergence MUST go through the checkpoint.
+  // Kill a replica and respawn it at epoch 3.
   KillReplica(*remote, /*shard=*/1, /*replica=*/1);
   Status restarted = remote->RestartDeadWorkers();
   ASSERT_TRUE(restarted.ok()) << restarted.ToString();
@@ -362,6 +356,11 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
   EXPECT_EQ(revived->epoch, 3u);
   EXPECT_GE(revived->restarts, 1u);
   EXPECT_GE(revived->catchups, 1u);
+  // The new process was loaded once at the committed epoch and applied no
+  // batch itself.
+  const MetricsSnapshot fleet = remote->Metrics();
+  EXPECT_EQ(ReplicaCounter(fleet, "worker_graph_loads_total", 1, 1), 1u);
+  EXPECT_EQ(ReplicaCounter(fleet, "worker_epoch_prepares_total", 1, 1), 0u);
 
   // Bit-identical convergence: answers match the reference that applied
   // the full history incrementally.
@@ -369,7 +368,7 @@ TEST(ReplicaTest, ReplicaCheckpointBoundsHistoryAndRestartConverges) {
     for (QueryKind kind :
          {QueryKind::kKsp, QueryKind::kShortestPath, QueryKind::kDiverseKsp}) {
       ExpectQueryParity(*remote, *reference, MakeKindRequest(kind, s, 29 - s),
-                        "post-checkpoint restart q " + std::to_string(s));
+                        "post-restart q " + std::to_string(s));
     }
   }
 }

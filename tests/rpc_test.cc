@@ -195,13 +195,12 @@ TEST(WireTest, ReaderRejectsTruncationAndTrailingGarbage) {
 
 TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
   Graph graph = MakeRandomConnected(24, 30, 1, 9, 7);
-  DtlpOptions dtlp;
-  dtlp.partition.max_vertices = 8;
-  dtlp.index.xi = 3;
+  PartitionOptions partition;
+  partition.max_vertices = 8;
   LoadGraphRequest request =
       LoadGraphRequest::FromGraph(graph, /*shard_id=*/1, /*num_shards=*/3,
-                                  dtlp);
-  // Checkpoint shipping: the weights above belong to epoch 4, and the new
+                                  partition);
+  // Catch-up shipping: the weights above belong to epoch 4, and the new
   // worker is replica 2 of its shard.
   request.replica_id = 2;
   request.base_epoch = 4;
@@ -213,8 +212,7 @@ TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
   EXPECT_EQ(decoded.num_shards, 3u);
   EXPECT_EQ(decoded.replica_id, 2u);
   EXPECT_EQ(decoded.base_epoch, 4u);
-  EXPECT_EQ(decoded.dtlp.partition.max_vertices, 8u);
-  EXPECT_EQ(decoded.dtlp.index.xi, 3u);
+  EXPECT_EQ(decoded.partition.max_vertices, 8u);
   Result<Graph> rebuilt = decoded.BuildGraph();
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
   const Graph& got = rebuilt.value();
@@ -242,7 +240,7 @@ TEST(WireTest, LoadGraphRequestRoundTripsTheGraph) {
 TEST(WireTest, BuildGraphValidatesStructure) {
   Graph graph = MakeRandomConnected(10, 12, 1, 9, 11);
   LoadGraphRequest request =
-      LoadGraphRequest::FromGraph(graph, 0, 1, DtlpOptions{});
+      LoadGraphRequest::FromGraph(graph, 0, 1, PartitionOptions{});
   // Vertex id out of range must be rejected, not trusted.
   request.edge_u[0] = 99;
   EXPECT_FALSE(request.BuildGraph().ok());
@@ -311,19 +309,6 @@ TEST(WireTest, EpochAndPingMessagesRoundTrip) {
       EpochPrepareReply::Decode(prepared.Encode(), &got_prepared).ok());
   EXPECT_EQ(got_prepared.updates_applied, 13u);
   EXPECT_EQ(got_prepared.subgraphs_touched, 4u);
-
-  EpochCommitRequest commit;
-  commit.epoch = 9;
-  EpochCommitRequest got_commit;
-  ASSERT_TRUE(EpochCommitRequest::Decode(commit.Encode(), &got_commit).ok());
-  EXPECT_EQ(got_commit.epoch, 9u);
-
-  EpochCommitReply committed;
-  committed.epoch = 9;
-  EpochCommitReply got_committed;
-  ASSERT_TRUE(
-      EpochCommitReply::Decode(committed.Encode(), &got_committed).ok());
-  EXPECT_EQ(got_committed.epoch, 9u);
 
   PingRequest ping;
   ping.nonce = 77;
@@ -575,6 +560,67 @@ TEST(RpcClientServerTest, CountersStayMonotonicAcrossReconnects) {
                         MessageType::kShutdownReply, &reply_payload)
                   .ok());
   serving.join();
+}
+
+// A worker that died leaves its socket file behind, and connects to it are
+// refused. Once the client has talked to a worker, such a refusal must fail
+// the attempt at once: polling the dead socket until the deadline stalls
+// every retry routed to a killed replica for the whole RPC deadline.
+TEST(RpcClientServerTest, RefusedReconnectFailsFastWithoutWaitingForDeadline) {
+  std::string path = TestSocketPath("refused");
+  RpcClientOptions options;
+  options.deadline_ms = 5000;
+  options.max_retries = 0;
+  RpcClient client(path, options);
+  {
+    Result<std::unique_ptr<RpcServer>> server = RpcServer::Listen(path);
+    ASSERT_TRUE(server.ok()) << server.status().ToString();
+    std::thread serving([&] {
+      RpcServer::Handler handler =
+          [](MessageType, const std::string&, MessageType* reply_type,
+             std::string*, bool* shutdown) -> Status {
+        *reply_type = MessageType::kShutdownReply;
+        *shutdown = true;
+        return Status::OK();
+      };
+      EXPECT_TRUE(server.value()->Serve(handler, /*idle_timeout_ms=*/10000)
+                      .ok());
+    });
+    std::string reply_payload;
+    EXPECT_TRUE(client
+                    .Call(MessageType::kShutdownRequest, "",
+                          MessageType::kShutdownReply, &reply_payload)
+                    .ok());
+    serving.join();
+  }
+  // The stale socket file of a killed worker: bound, never listening.
+  int stale = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(stale, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  unlink(path.c_str());
+  ASSERT_EQ(bind(stale, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  close(stale);
+
+  // The first call finds the old connection closed and drops it; the
+  // second has to connect again and is refused.
+  const std::string ping = PingRequest{}.Encode();
+  std::string reply_payload;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client
+                   .Call(MessageType::kPingRequest, ping,
+                         MessageType::kPingReply, &reply_payload)
+                   .ok());
+  Status called = client.Call(MessageType::kPingRequest, ping,
+                              MessageType::kPingReply, &reply_payload);
+  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  EXPECT_EQ(called.code(), StatusCode::kUnavailable) << called.ToString();
+  EXPECT_LT(elapsed, 1000);
+  unlink(path.c_str());
 }
 
 TEST(RpcClientServerTest, ConnectToMissingSocketIsBoundedAndUnavailable) {

@@ -6,17 +6,15 @@
 // Every flag, phase and JSON field is described once, in
 // docs/BENCHMARKING.md. A malformed number exits 2 with
 // "invalid value for --FLAG: 'TOKEN'".
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <system_error>
 #include <type_traits>
 #include <vector>
 
+#include "core/strings.h"
 #include "workload/bench_runner.h"
 
 namespace {
@@ -45,19 +43,6 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
   return out;
 }
 
-/// Parses the whole of `token` as a T, or exits 2 naming the flag.
-template <typename T>
-T ParseNumber(const std::string& flag, const char* token) {
-  T value{};
-  const char* end = token + std::strlen(token);
-  auto [parsed_end, error] = std::from_chars(token, end, value);
-  if (error != std::errc() || parsed_end != end) {
-    std::fprintf(stderr, "invalid value for %s: '%s'\n", flag.c_str(), token);
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,7 +60,7 @@ int main(int argc, char** argv) {
     };
     auto number = [&](auto& field) {
       using T = std::remove_reference_t<decltype(field)>;
-      field = ParseNumber<T>(arg, next());
+      field = kspdg::ParseNumber<T>(arg, next());
     };
     if (arg == "--dataset") {
       options.dataset = next();

@@ -4,23 +4,23 @@
 //   shard_worker --socket PATH [--idle-timeout-ms N]
 //
 // The worker listens on a unix socket and speaks the src/rpc protocol. A
-// LoadGraph request ships the full graph + DTLP knobs + (shard_id,
-// num_shards, replica_id, base_epoch); the worker rebuilds the partition,
-// the DTLP, and the shard assignment with the same deterministic code the
-// coordinator runs, so its subgraph weight copies and level-1 indexes are
-// identical to the coordinator's by construction. The shipped weights may
-// be a mid-stream checkpoint: the worker then starts at base_epoch and the
-// coordinator replays the batches committed after it, which is how a
-// replica that died (or fell behind) catches back up. From then on it serves the two requests
-// that matter:
+// LoadGraph request ships the full graph + partition knobs + (shard_id,
+// num_shards, replica_id, base_epoch); the worker re-partitions it and
+// assigns shards with the same deterministic code the coordinator runs, so
+// its subgraph weight copies are identical to the coordinator's by
+// construction. It keeps only what it serves: the subgraphs with their
+// weights. The level-1 indexes stay on the coordinator, which answers the
+// filter step. The shipped weights are the coordinator's committed ones at
+// base_epoch, so a replica that died (or fell behind) catches up by one
+// more load. After a load it serves two requests:
 //
 //   Partials       the KSP-DG refine step for boundary pairs inside its
 //                  owned subgraphs (the per-query Yen work, moved off the
 //                  coordinator process);
-//   EpochPrepare   its slice of Algorithm 2 for one traffic batch — the
-//                  worker filters the full batch to its owned subgraphs
-//                  with the same grouping the in-process shard fan-out
-//                  uses, applies, and replies. Prepares are idempotent:
+//   EpochPrepare   its share of one traffic batch: the worker filters the
+//                  full batch to its owned subgraphs with the same
+//                  grouping the in-process shard fan-out uses, sets the
+//                  new weights, and replies. Prepares are idempotent:
 //                  re-sending the prepared epoch replays the stored reply,
 //                  so coordinator retries after a lost reply are safe.
 //
@@ -32,14 +32,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/status.h"
+#include "core/strings.h"
 #include "dtlp/dtlp.h"
 #include "graph/graph.h"
 #include "kspdg/partial_provider.h"
 #include "obs/metrics.h"
+#include "partition/partitioner.h"
 #include "partition/shard_assignment.h"
 #include "rpc/server.h"
 #include "rpc/wire.h"
@@ -76,37 +79,32 @@ class WorkerState {
     }
     Result<Graph> graph = request.BuildGraph();
     if (!graph.ok()) return graph.status();
-    // The DTLP keeps a pointer to the graph: pin it on the heap first, and
-    // only swap the old state out once the whole rebuild succeeded.
-    auto owned_graph = std::make_unique<Graph>(std::move(graph).value());
-    Result<std::unique_ptr<Dtlp>> dtlp =
-        Dtlp::Build(*owned_graph, request.dtlp);
-    if (!dtlp.ok()) return dtlp.status();
+    // Swap the old state out only once the whole rebuild succeeded.
+    Result<Partition> partition =
+        PartitionGraph(graph.value(), request.partition);
+    if (!partition.ok()) return partition.status();
     Result<ShardAssignment> assignment =
-        AssignShards(dtlp.value()->partition(), request.num_shards);
+        AssignShards(partition.value(), request.num_shards);
     if (!assignment.ok()) return assignment.status();
 
-    graph_ = std::move(owned_graph);
-    dtlp_ = std::move(dtlp).value();
-    assignment_ = std::move(assignment).value();
+    const std::vector<SubgraphId>& owned =
+        assignment.value().subgraphs_of_shard[request.shard_id];
+    partition_ = std::move(partition).value();
+    num_edges_ = graph.value().NumEdges();
     shard_id_ = request.shard_id;
     replica_id_ = request.replica_id;
-    owned_.assign(dtlp_->NumSubgraphs(), 0);
-    for (SubgraphId sgid : assignment_.subgraphs_of_shard[shard_id_]) {
-      owned_[sgid] = 1;
-    }
-    // The shipped weights are the coordinator's checkpoint: the worker
-    // starts at the checkpoint epoch and the coordinator replays only the
-    // batches committed after it (prepare still requires epoch_ + 1, so
-    // replay order is enforced the same way live batches are).
+    owned_.assign(partition_->subgraphs.size(), 0);
+    for (SubgraphId sgid : owned) owned_[sgid] = 1;
+    // The shipped weights are the coordinator's committed ones: the worker
+    // starts at that epoch, and the next prepare must name epoch_ + 1.
     epoch_ = request.base_epoch;
     last_prepare_reply_.clear();
     graph_loads_.Increment();
     epoch_gauge_.Set(static_cast<int64_t>(epoch_));
 
     LoadGraphReply loaded;
-    loaded.subgraphs_owned = assignment_.subgraphs_of_shard[shard_id_].size();
-    loaded.vertices_owned = assignment_.vertices_of_shard[shard_id_];
+    loaded.subgraphs_owned = owned.size();
+    loaded.vertices_owned = assignment.value().vertices_of_shard[shard_id_];
     *reply = loaded.Encode();
     return Status::OK();
   }
@@ -123,7 +121,6 @@ class WorkerState {
           " but the partials request names epoch " +
           std::to_string(request.epoch));
     }
-    const Partition& partition = dtlp_->partition();
     PartialsReply result;
     result.lists.reserve(request.sgids.size());
     for (SubgraphId sgid : request.sgids) {
@@ -132,7 +129,7 @@ class WorkerState {
             "partials request names subgraph " + std::to_string(sgid) +
             " which this worker does not own");
       }
-      const Subgraph& sg = partition.subgraphs[sgid];
+      const Subgraph& sg = partition_->subgraphs[sgid];
       result.lists.push_back(
           {sgid, LocalPartialProvider::PartialsInSubgraph(
                      sg, request.x, request.y, request.depth)});
@@ -156,24 +153,21 @@ class WorkerState {
       return Status::FailedPrecondition(
           "worker is at epoch " + std::to_string(epoch_) +
           " but the prepare names epoch " + std::to_string(request.epoch) +
-          " (worker needs a reload + replay)");
+          " (worker needs a reload)");
     }
     // Input from outside the process: checked like any service batch.
-    KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(*graph_, request.updates));
+    KSPDG_RETURN_NOT_OK(ValidateTrafficBatch(num_edges_, request.updates));
 
     // Identical application order to the in-process shard fan-out: the
     // batch grouped per subgraph preserving batch order, the owned
     // subgraphs applied ascending.
-    for (const WeightUpdate& update : request.updates) {
-      graph_->SetWeight(update);  // keep the flat copy coherent
-    }
     EpochPrepareReply applied;
     applied.epoch = request.epoch;
     for (const SubgraphUpdates& group :
-         GroupUpdatesBySubgraph(dtlp_->partition(), request.updates)) {
+         GroupUpdatesBySubgraph(*partition_, request.updates)) {
       if (owned_[group.sgid] == 0) continue;
-      dtlp_->ApplyUpdatesToSubgraph(group.sgid, group.updates);
-      dtlp_->RefreshSubgraph(group.sgid);
+      Subgraph& sg = partition_->subgraphs[group.sgid];
+      for (const WeightUpdate& update : group.updates) sg.ApplyUpdate(update);
       applied.updates_applied += group.updates.size();
       ++applied.subgraphs_touched;
     }
@@ -183,23 +177,6 @@ class WorkerState {
     epoch_gauge_.Set(static_cast<int64_t>(epoch_));
     last_prepare_reply_ = applied.Encode();
     *reply = last_prepare_reply_;
-    return Status::OK();
-  }
-
-  Status HandleCommit(const std::string& payload, std::string* reply) {
-    KSPDG_RETURN_NOT_OK(RequireLoaded());
-    EpochCommitRequest request;
-    KSPDG_RETURN_NOT_OK(EpochCommitRequest::Decode(payload, &request));
-    if (request.epoch != epoch_) {
-      return Status::FailedPrecondition(
-          "commit names epoch " + std::to_string(request.epoch) +
-          " but the worker prepared epoch " + std::to_string(epoch_));
-    }
-    // Bookkeeping only: the state moved during prepare. A missed commit is
-    // recovered implicitly by the next prepare/partials epoch check.
-    EpochCommitReply committed;
-    committed.epoch = epoch_;
-    *reply = committed.Encode();
     return Status::OK();
   }
 
@@ -222,20 +199,21 @@ class WorkerState {
 
  private:
   Status RequireLoaded() const {
-    if (dtlp_ == nullptr) {
+    if (!partition_.has_value()) {
       return Status::FailedPrecondition("worker has no graph loaded");
     }
     return Status::OK();
   }
 
-  std::unique_ptr<Graph> graph_;
-  std::unique_ptr<Dtlp> dtlp_;
-  ShardAssignment assignment_;
+  /// The shipped graph's partition: the subgraph weight copies Partials
+  /// reads. Only the owned subgraphs' weights are kept current.
+  std::optional<Partition> partition_;
+  size_t num_edges_ = 0;
   ShardId shard_id_ = kInvalidShard;
   uint32_t replica_id_ = 0;
   std::vector<char> owned_;
-  /// Last prepared epoch == number of traffic batches applied (the worker
-  /// treats prepare as apply; commit is bookkeeping).
+  /// The epoch the owned weights are at: the load's base_epoch plus one
+  /// per prepare applied since.
   uint64_t epoch_ = 0;
   std::string last_prepare_reply_;
 
@@ -271,9 +249,6 @@ int Run(const std::string& socket_path, int64_t idle_timeout_ms) {
       case MessageType::kEpochPrepareRequest:
         *reply_type = MessageType::kEpochPrepareReply;
         return state.HandlePrepare(payload, reply_payload);
-      case MessageType::kEpochCommitRequest:
-        *reply_type = MessageType::kEpochCommitReply;
-        return state.HandleCommit(payload, reply_payload);
       case MessageType::kPingRequest:
         *reply_type = MessageType::kPingReply;
         return state.HandlePing(payload, reply_payload);
@@ -317,7 +292,8 @@ int main(int argc, char** argv) {
     if (arg == "--socket") {
       socket_path = next();
     } else if (arg == "--idle-timeout-ms") {
-      idle_timeout_ms = std::strtoll(next(), nullptr, 10);
+      // Positive: 0 would exit before serving, -1 would wait forever.
+      idle_timeout_ms = kspdg::ParseNumber<int64_t>(arg, next(), /*min=*/1);
     } else {
       std::fprintf(stderr,
                    "usage: %s --socket PATH [--idle-timeout-ms N]\n",
