@@ -1,5 +1,5 @@
 // Unit tests for src/core: Status/Result, Rng, IndexedMinHeap, SmallSortedSet,
-// ThreadPool (and its ParallelFor loop), EpochLock.
+// ParseNumber, ThreadPool (and its ParallelFor loop), EpochLock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "core/rng.h"
 #include "core/small_set.h"
 #include "core/status.h"
+#include "core/strings.h"
 #include "core/submission_queue.h"
 #include "core/thread_pool.h"
 #include "core/types.h"
@@ -200,6 +201,33 @@ TEST(SmallSortedSetTest, IteratesSorted) {
   std::vector<int> got(set.begin(), set.end());
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
   EXPECT_EQ(got.size(), 4u);
+}
+
+// The command-line number parser: the whole token as the flag's type, at
+// least `min`; anything else exits 2 naming the flag and the token.
+TEST(ParseNumberDeathTest, RejectsMalformedTokensAndValuesBelowMin) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EQ(ParseNumber<uint32_t>("--vertices", "1024"), 1024u);
+  EXPECT_EQ(ParseNumber<double>("--alpha", "0.35"), 0.35);
+  EXPECT_EQ(ParseNumber<int64_t>("--idle-timeout-ms", "1", /*min=*/1), 1);
+  // Trailing garbage after an integer and after a double.
+  EXPECT_EXIT((void)ParseNumber<uint32_t>("--vertices", "12x"),
+              testing::ExitedWithCode(2),
+              "invalid value for --vertices: '12x'");
+  EXPECT_EXIT((void)ParseNumber<double>("--alpha", "0.3x"),
+              testing::ExitedWithCode(2), "invalid value for --alpha: '0.3x'");
+  // Not a number at all, a sign on an unsigned type, out of range.
+  EXPECT_EXIT((void)ParseNumber<uint64_t>("--seed", "nope"),
+              testing::ExitedWithCode(2), "invalid value for --seed: 'nope'");
+  EXPECT_EXIT((void)ParseNumber<uint32_t>("--vertices", "-1"),
+              testing::ExitedWithCode(2),
+              "invalid value for --vertices: '-1'");
+  EXPECT_EXIT((void)ParseNumber<uint32_t>("--vertices", "4294967296"),
+              testing::ExitedWithCode(2), "'4294967296'");
+  // Below the minimum.
+  EXPECT_EXIT((void)ParseNumber<int64_t>("--idle-timeout-ms", "0", 1),
+              testing::ExitedWithCode(2),
+              "invalid value for --idle-timeout-ms: '0'");
 }
 
 // The parallel loop contract of ThreadPool::ParallelFor, one edge per test:

@@ -25,7 +25,6 @@
 #include "parity_harness.h"
 #include "remote/remote_sharded_routing_service.h"
 #include "shard/sharded_routing_service.h"
-#include "workload/bench_runner.h"
 
 namespace kspdg {
 namespace {
@@ -185,6 +184,12 @@ TEST(RemoteShardedRoutingServiceTest, BatchAndSubmitParityWithInProcess) {
                          want.value().items[i].response.paths,
                          "async item " + std::to_string(i));
   }
+  // A healthy fleet answered the prepare, the batch and the submission
+  // without waiting out an RPC deadline or respawning a worker.
+  RemoteServiceCounters counters = remote->counters();
+  EXPECT_GT(counters.rpc_calls, 0u);
+  EXPECT_EQ(counters.rpc_deadline_expired, 0u);
+  EXPECT_EQ(counters.worker_restarts, 0u);
 }
 
 TEST(RemoteShardedRoutingServiceTest, RejectsInvalidRequestsAndCounts) {
@@ -485,42 +490,6 @@ TEST(RemoteFaultTest, ApplyTrafficBatchAutoRestartsDeadWorkers) {
     ExpectIdenticalPaths(got.value().paths, want.value().paths,
                          "post-auto-restart q " + std::to_string(s));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bench remote_shard phase: the parity gate CI reads from the JSON.
-// ---------------------------------------------------------------------------
-
-TEST(BenchRunnerTest, RemoteShardPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.remote_shards = 2;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const RemoteShardPhaseStats& phase = report.value().remote_shard;
-  EXPECT_EQ(phase.num_shards, 2u);
-  EXPECT_EQ(phase.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(phase.errors, 0u);
-  EXPECT_EQ(phase.mismatches, 0u);
-  EXPECT_EQ(phase.batches_applied, 2u);
-  EXPECT_EQ(phase.final_epoch, 2u);
-  EXPECT_EQ(phase.worker_restarts, 0u);
-  EXPECT_EQ(phase.rpc_deadline_expired, 0u);
-  EXPECT_GT(phase.rpc_calls, 0u);
-  EXPECT_EQ(phase.batch_size, 8u);  // default batched leg
-  EXPECT_EQ(phase.batches_submitted, 2u);  // ceil(15 / 8)
-  EXPECT_GT(phase.remote_qps, 0.0);
-  EXPECT_GT(phase.remote_batch_qps, 0.0);
-  EXPECT_GT(phase.inprocess_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"remote_shard\""), std::string::npos);
-  EXPECT_NE(json.find("\"worker_restarts\": 0"), std::string::npos);
 }
 
 // The admission surface crosses the process boundary unchanged: the remote

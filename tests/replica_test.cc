@@ -100,7 +100,19 @@ TEST(ReplicaTest, ReplicaParityAcrossShardAndReplicaCounts) {
   }
 }
 
-// At R=2 reads actually rotate: both replicas of a shard serve fetches.
+// The (shard, replica) label values of `sample`; empty where absent.
+template <typename Sample>
+std::pair<std::string, std::string> ShardReplicaOf(const Sample& sample) {
+  std::string shard, replica;
+  for (const auto& [key, value] : sample.labels) {
+    if (key == "shard") shard = value;
+    if (key == "replica") replica = value;
+  }
+  return {shard, replica};
+}
+
+// At R=2 reads actually rotate: both replicas of every shard serve
+// fetches, and the fleet scrape carries every worker's own registry.
 TEST(ReplicaTest, ReplicaReadsRotateRoundRobin) {
   Graph g = MakeRandomConnected(40, 52, 1, 9, 409);
   std::unique_ptr<RemoteShardedRoutingService> remote =
@@ -110,39 +122,48 @@ TEST(ReplicaTest, ReplicaReadsRotateRoundRobin) {
   for (VertexId s = 0; s < 10; ++s) {
     ASSERT_TRUE(remote->Query(MakeRequest(s, 39 - s, kBackendKspDg, 4)).ok());
   }
-  uint64_t total_reads = 0;
-  uint64_t replicas_reading = 0;
-  for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
-    total_reads += info.reads;
-    if (info.reads > 0) ++replicas_reading;
+  const std::vector<RemoteWorkerInfo> infos = remote->WorkerInfos();
+  ASSERT_EQ(infos.size(), 4u);
+  // Round-robin per shard: 10 multi-fetch queries give each shard more
+  // than one fetch, so no replica is left without reads.
+  for (const RemoteWorkerInfo& info : infos) {
+    EXPECT_GT(info.reads, 0u) << "replica " << info.shard << "/"
+                              << info.replica << " served no reads";
   }
-  EXPECT_GT(total_reads, 0u);
-  // Round-robin across 10 multi-fetch queries must touch more than one
-  // replica (strict balance is not asserted — per-query shard fan-out
-  // varies — but rotation must be visible).
-  EXPECT_GT(replicas_reading, 2u) << "reads did not rotate across replicas";
   // The per-replica read share is exported with replica labels.
   MetricsSnapshot fleet = remote->Metrics();
   std::set<std::pair<std::string, std::string>> labeled;
   for (const CounterSample& counter : fleet.counters) {
-    if (counter.name != "reads_by_replica_total") continue;
-    std::string shard, replica;
-    for (const auto& [key, value] : counter.labels) {
-      if (key == "shard") shard = value;
-      if (key == "replica") replica = value;
+    if (counter.name == "reads_by_replica_total") {
+      labeled.insert(ShardReplicaOf(counter));
     }
-    labeled.insert({shard, replica});
   }
   EXPECT_EQ(labeled.size(), 4u) << "expected a labeled series per replica";
+  // The merged scrape holds one registry per worker and tags each worker's
+  // own worker_* samples with its shard and its replica label (the
+  // coordinator's worker_restarts_total carries neither).
+  EXPECT_EQ(fleet.GaugeSampleCount("worker_epoch"), 4u);
+  std::set<std::pair<std::string, std::string>> workers;
+  for (const CounterSample& counter : fleet.counters) {
+    const auto labels = ShardReplicaOf(counter);
+    if (counter.name.rfind("worker_", 0) == 0 && !labels.first.empty()) {
+      workers.insert(labels);
+    }
+  }
+  const std::set<std::pair<std::string, std::string>> fleet_members = {
+      {"0", "0"}, {"0", "1"}, {"1", "0"}, {"1", "1"}};
+  EXPECT_EQ(workers, fleet_members);
 }
 
 // ---------------------------------------------------------------------------
 // Replication invariants under faults.
 // ---------------------------------------------------------------------------
 
-// Kill one replica deterministically mid-apply (at the instant its prepare
-// would go out): the batch still commits, the sibling serves
-// every read, and answers stay byte-identical to the in-process service.
+// The failover drill. Kill one replica deterministically mid-apply (at the
+// instant its prepare would go out): the batch still commits, the sibling
+// serves every read, and answers stay byte-identical to the in-process
+// service. The next batch (auto-restart on) respawns exactly that replica
+// and catches it up, and answers stay identical at the new epoch.
 TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   Graph g = MakeRandomConnected(30, 38, 1, 9, 419);
   Graph g_ref = g;
@@ -150,7 +171,8 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   plan->shard = 0;
   plan->replica = 1;
   std::unique_ptr<RemoteShardedRoutingService> remote = MustCreateReplicated(
-      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2, plan);
+      std::move(g), /*z=*/8, /*num_shards=*/2, /*num_replicas=*/2, plan,
+      /*auto_restart=*/true);
   std::unique_ptr<ShardedRoutingService> reference =
       MustCreateSharded(std::move(g_ref), /*z=*/8, /*num_shards=*/2);
   ASSERT_TRUE(remote != nullptr && reference != nullptr);
@@ -179,11 +201,13 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   EXPECT_FALSE(killed->alive) << "mid-batch kill was not detected";
 
   // Every query answers (sibling failover) and matches bit-for-bit.
+  uint64_t issued = 0;
   for (VertexId s = 0; s < 6; ++s) {
     for (QueryKind kind :
          {QueryKind::kKsp, QueryKind::kShortestPath, QueryKind::kDiverseKsp}) {
       ExpectQueryParity(*remote, *reference, MakeKindRequest(kind, s, 29 - s),
                         "after mid-batch kill, q " + std::to_string(s));
+      ++issued;
     }
   }
   EXPECT_EQ(remote->counters().sharded.base.queries_rejected, 0u);
@@ -192,6 +216,35 @@ TEST(ReplicaTest, ReplicaKillOneMidBatchKeepsAnswersIdentical) {
   const RemoteWorkerInfo* sibling = FindReplica(after_queries, 0, 0);
   ASSERT_NE(sibling, nullptr);
   EXPECT_TRUE(sibling->alive);
+
+  // One more batch revives the victim before its prepare goes out: exactly
+  // one respawn fleet-wide, loaded with the committed graph (a catch-up).
+  std::vector<WeightUpdate> third = traffic.NextBatch();
+  ASSERT_TRUE(reference->ApplyTrafficBatch(third).ok());
+  applied = remote->ApplyTrafficBatch(third);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied.value().epoch, 3u);
+  for (const RemoteWorkerInfo& info : remote->WorkerInfos()) {
+    EXPECT_TRUE(info.alive) << info.shard << "/" << info.replica;
+    EXPECT_EQ(info.epoch, 3u) << info.shard << "/" << info.replica;
+  }
+  const RemoteServiceCounters healed = remote->counters();
+  EXPECT_EQ(healed.worker_restarts, 1u);
+  EXPECT_GE(healed.replica_catchups, 1u);
+  for (VertexId s = 0; s < 6; ++s) {
+    for (QueryKind kind :
+         {QueryKind::kKsp, QueryKind::kShortestPath, QueryKind::kDiverseKsp}) {
+      ExpectQueryParity(*remote, *reference, MakeKindRequest(kind, s, 29 - s),
+                        "after auto-restart, q " + std::to_string(s));
+      ++issued;
+    }
+  }
+  // The registry accounts for every request across the kill and respawn,
+  // and the scrape again carries all four workers' registries.
+  const MetricsSnapshot fleet = remote->Metrics();
+  EXPECT_EQ(fleet.CounterTotal("queries_ok_total"), issued);
+  EXPECT_EQ(fleet.CounterTotal("queries_rejected_total"), 0u);
+  EXPECT_EQ(fleet.GaugeSampleCount("worker_epoch"), 4u);
 }
 
 // A replica that silently misses an epoch (dropped prepare — a lost

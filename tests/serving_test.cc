@@ -112,7 +112,16 @@ TEST(ServingMetricsParityTest, EveryPlainSeriesIsExportedByAllDeployments) {
         MustCreate(deployment, g, /*z=*/10);
     ASSERT_TRUE(service != nullptr) << DeploymentName(deployment);
     Exercise(*service, 29);
-    std::set<Series> series = SeriesOf(service->Metrics());
+    const MetricsSnapshot snapshot = service->Metrics();
+    // A scrape carries all three sample kinds, and its JSON export names
+    // the request counter.
+    EXPECT_FALSE(snapshot.counters.empty()) << DeploymentName(deployment);
+    EXPECT_FALSE(snapshot.gauges.empty()) << DeploymentName(deployment);
+    EXPECT_FALSE(snapshot.histograms.empty()) << DeploymentName(deployment);
+    EXPECT_NE(snapshot.ToJson().find("\"name\":\"queries_ok_total\""),
+              std::string::npos)
+        << DeploymentName(deployment);
+    std::set<Series> series = SeriesOf(snapshot);
     // The series the repository benchmark reads, on every deployment.
     for (const char* name :
          {"epoch_writer_wait_micros", "queries_ok_total",

@@ -26,7 +26,6 @@
 #include "parity_harness.h"
 #include "partition/shard_assignment.h"
 #include "shard/sharded_routing_service.h"
-#include "workload/bench_runner.h"
 
 namespace kspdg {
 namespace {
@@ -858,68 +857,6 @@ TEST(ShardedSubmitBatchTest, ConcurrentSubmitAndTrafficStayUniform) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(checks.load(), 0u) << "producer never overlapped the updates";
   EXPECT_EQ(service->CurrentEpoch(), kBatches);
-}
-
-// ---------------------------------------------------------------------------
-// Bench shard phase.
-// ---------------------------------------------------------------------------
-
-TEST(BenchRunnerTest, ShardPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.shards = 2;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const ShardPhaseStats& shard = report.value().shard;
-  EXPECT_EQ(shard.num_shards, 2u);
-  EXPECT_EQ(shard.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(shard.errors, 0u);
-  EXPECT_EQ(shard.mismatches, 0u);
-  EXPECT_EQ(shard.batches_applied, 2u);
-  EXPECT_EQ(shard.final_epoch, 2u);
-  EXPECT_GT(shard.direct_partials + shard.scattered_partials, 0u);
-  EXPECT_GT(shard.single_shard_queries + shard.cross_shard_queries, 0u);
-  EXPECT_GE(shard.max_subgraphs_per_shard, shard.min_subgraphs_per_shard);
-  EXPECT_GT(shard.sharded_qps, 0.0);
-  EXPECT_GT(shard.unsharded_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"num_shards\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"mismatches\": 0"), std::string::npos);
-}
-
-TEST(BenchRunnerTest, ShardBatchPhaseReportsParity) {
-  BenchOptions options;
-  options.dataset = "NY-S";
-  options.target_vertices = 256;
-  options.queries_per_backend = 5;
-  options.num_batches = 2;
-  options.query_threads = 2;
-  options.k = 3;
-  options.z = 32;
-  options.shards = 2;
-  options.batch_size = 4;
-  Result<BenchReport> report = RunMixedBench(options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  const ShardBatchPhaseStats& combined = report.value().shard_batch;
-  EXPECT_EQ(combined.num_shards, 2u);
-  EXPECT_EQ(combined.batch_size, 4u);
-  EXPECT_EQ(combined.requests, 15u);  // 5 queries x 3 default backends
-  EXPECT_EQ(combined.batches_submitted, 4u);  // ceil(15 / 4)
-  EXPECT_EQ(combined.errors, 0u);
-  EXPECT_EQ(combined.mismatches, 0u);
-  EXPECT_EQ(combined.non_uniform_batches, 0u);
-  EXPECT_GT(combined.direct_partials + combined.scattered_partials, 0u);
-  EXPECT_GT(combined.sharded_batch_qps, 0.0);
-  EXPECT_GT(combined.unsharded_sequential_qps, 0.0);
-  std::string json = report.value().ToJson();
-  EXPECT_NE(json.find("\"shard_batch\""), std::string::npos);
-  EXPECT_NE(json.find("\"batches_submitted\": 4"), std::string::npos);
 }
 
 // The admission surface is part of the shared serving contract: the

@@ -95,6 +95,16 @@ class WorkerState {
     replica_id_ = request.replica_id;
     owned_.assign(partition_->subgraphs.size(), 0);
     for (SubgraphId sgid : owned) owned_[sgid] = 1;
+    // Only owned subgraphs are served and kept current: drop the others'
+    // local graphs and the vertex-side structures. subgraph_of_edge stays,
+    // because GroupUpdatesBySubgraph files each update under its subgraph.
+    const bool directed = graph.value().directed();
+    for (Subgraph& sg : partition_->subgraphs) {
+      if (owned_[sg.id()] == 0) sg = Subgraph(sg.id(), directed);
+    }
+    partition_->subgraphs_of_vertex = {};
+    partition_->boundary_vertices = {};
+    partition_->is_boundary = {};
     // The shipped weights are the coordinator's committed ones: the worker
     // starts at that epoch, and the next prepare must name epoch_ + 1.
     epoch_ = request.base_epoch;
@@ -205,8 +215,9 @@ class WorkerState {
     return Status::OK();
   }
 
-  /// The shipped graph's partition: the subgraph weight copies Partials
-  /// reads. Only the owned subgraphs' weights are kept current.
+  /// The shipped graph's partition, reduced to what this worker serves:
+  /// the owned subgraphs (the weight copies Partials reads) and the edge ->
+  /// subgraph map prepares group updates by. Unowned subgraphs are empty.
   std::optional<Partition> partition_;
   size_t num_edges_ = 0;
   ShardId shard_id_ = kInvalidShard;
